@@ -41,7 +41,7 @@
 //!   ```
 //!
 //! * `public-api` — the API-stability gate: line-scans every workspace library crate for
-//!   `pub` items and compares the sorted list against the committed snapshot under
+//!   `pub` items (and the methods of `pub trait`s) and compares the sorted list against the committed snapshot under
 //!   `ci/public-api/`. An undeclared addition, removal or signature change fails with a
 //!   `+`/`-` diff; `--update` rewrites the snapshots (commit the result alongside the
 //!   intentional API change).
@@ -691,6 +691,46 @@ fn public_item_of(line: &str) -> Option<String> {
     Some(decl.to_string())
 }
 
+/// The public items of one source file: every [`public_item_of`] line, plus the `fn`
+/// declarations directly inside a `pub trait … {` body. Trait methods carry no `pub` of
+/// their own but are API all the same; each is recorded as `trait Name: fn …` so it
+/// stays attributable once the snapshot is sorted.
+fn public_items(text: &str) -> Vec<String> {
+    let mut items = Vec::new();
+    // Name and indentation of the `pub trait` whose body is being scanned, if any.
+    let mut open_trait: Option<(&str, &str)> = None;
+    for line in text.lines() {
+        if let Some((name, indent)) = open_trait {
+            let Some(body) = line.trim_end().strip_prefix(indent) else {
+                continue;
+            };
+            if body == "}" {
+                open_trait = None;
+            } else if let Some(decl) = body.strip_prefix("    ").filter(|d| d.starts_with("fn ")) {
+                let decl = decl.strip_suffix("{}").unwrap_or(decl);
+                let decl = decl.trim_end_matches(['{', ';']).trim_end();
+                items.push(format!("trait {name}: {decl}"));
+            }
+            continue;
+        }
+        let Some(decl) = public_item_of(line) else {
+            continue;
+        };
+        let header = line.trim_start();
+        if let Some(rest) = header.strip_prefix("pub trait ") {
+            if header.trim_end().ends_with('{') {
+                let end = rest
+                    .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .unwrap_or(rest.len());
+                let indent = &line[..line.len() - header.len()];
+                open_trait = Some((&rest[..end], indent));
+            }
+        }
+        items.push(decl);
+    }
+    items
+}
+
 /// The sorted public-item snapshot of one crate, one `file: declaration` line each.
 fn public_api_snapshot(src: &Path) -> Vec<String> {
     let mut files = Vec::new();
@@ -701,10 +741,8 @@ fn public_api_snapshot(src: &Path) -> Vec<String> {
             continue;
         };
         let rel = file.display().to_string().replace('\\', "/");
-        for line in text.lines() {
-            if let Some(decl) = public_item_of(line) {
-                lines.push(format!("{rel}: {decl}"));
-            }
+        for decl in public_items(&text) {
+            lines.push(format!("{rel}: {decl}"));
         }
     }
     lines.sort();
@@ -1414,6 +1452,20 @@ mod tests {
         assert_eq!(
             public_item_of("pub struct Endpoint {"),
             Some(String::from("pub struct Endpoint"))
+        );
+        // Methods of a `pub trait` are API without a `pub` of their own; nested items of
+        // a provided method's body and code after the trait's closing brace are not.
+        let trait_body = "pub trait Engine<P: Protocol> {\n    /// Docs.\n    \
+                          fn len(&self) -> usize;\n    fn is_empty(&self) -> bool {\n        \
+                          fn helper() {}\n        self.len() == 0\n    }\n}\n\
+                          fn private_helper() {}\n";
+        assert_eq!(
+            public_items(trait_body),
+            vec![
+                String::from("pub trait Engine<P: Protocol>"),
+                String::from("trait Engine: fn len(&self) -> usize"),
+                String::from("trait Engine: fn is_empty(&self) -> bool"),
+            ]
         );
     }
 
