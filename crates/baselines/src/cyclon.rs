@@ -80,9 +80,11 @@ struct PendingExchange {
 ///
 /// ```
 /// use croupier_baselines::{BaselineConfig, CyclonNode};
-/// use croupier_simulator::{NatClass, NodeId, PssNode, Simulation, SimulationConfig};
+/// use croupier_simulator::{
+///     NatClass, NodeId, PssNode, Simulation, SimulationConfig, SimulationEngine,
+/// };
 ///
-/// let mut sim = Simulation::new(SimulationConfig::default().with_seed(5));
+/// let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(5));
 /// for i in 0..20u64 {
 ///     let id = NodeId::new(i);
 ///     sim.register_public(id);
@@ -282,11 +284,11 @@ impl PssNode for CyclonNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use croupier_simulator::{Simulation, SimulationConfig};
+    use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
     use std::collections::HashMap;
 
     fn build_sim(n: u64, seed: u64) -> Simulation<CyclonNode> {
-        let mut sim = Simulation::new(SimulationConfig::default().with_seed(seed));
+        let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(seed));
         for i in 0..n {
             let id = NodeId::new(i);
             sim.register_public(id);
@@ -337,9 +339,8 @@ mod tests {
         }
         let max = indegree.values().copied().max().unwrap();
         let min = sim
-            .node_ids()
-            .iter()
-            .map(|id| indegree.get(id).copied().unwrap_or(0))
+            .nodes()
+            .map(|(id, _)| indegree.get(&id).copied().unwrap_or(0))
             .min()
             .unwrap();
         assert!(max <= 30, "in-degree too concentrated: max {max}");
@@ -351,7 +352,7 @@ mod tests {
         let mut sim = build_sim(20, 4);
         sim.run_for_rounds(20);
         let known = sim.node(NodeId::new(5)).unwrap().known_peers();
-        let sample = sim.sample_from(NodeId::new(5)).unwrap();
+        let sample = sim.draw_sample(NodeId::new(5)).unwrap();
         assert!(known.contains(&sample));
     }
 
@@ -372,7 +373,7 @@ mod tests {
 
     #[test]
     fn isolated_node_does_nothing() {
-        let mut sim = Simulation::new(SimulationConfig::default().with_seed(5));
+        let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(5));
         sim.add_node(
             NodeId::new(0),
             CyclonNode::new(NodeId::new(0), BaselineConfig::default()),

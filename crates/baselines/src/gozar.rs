@@ -667,11 +667,11 @@ impl PssNode for GozarNode {
 mod tests {
     use super::*;
     use croupier_nat::NatTopologyBuilder;
-    use croupier_simulator::{Simulation, SimulationConfig};
+    use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
 
     fn build_sim(n_public: u64, n_private: u64, seed: u64) -> Simulation<GozarNode> {
         let topology = NatTopologyBuilder::new(seed).build();
-        let mut sim = Simulation::new(SimulationConfig::default().with_seed(seed));
+        let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(seed));
         sim.set_delivery_filter(topology.clone());
         for i in 0..(n_public + n_private) {
             let id = NodeId::new(i);
@@ -786,10 +786,10 @@ mod tests {
         // envelopes, relay registrations and keep-alives.
         let mut gozar = build_sim(5, 20, 5);
         gozar.run_for_rounds(50);
-        let gozar_messages = gozar.traffic().total_messages_sent();
+        let gozar_messages = gozar.traffic_snapshot().total_messages_sent();
 
         let topology = NatTopologyBuilder::new(5).build();
-        let mut croupier_sim = Simulation::new(SimulationConfig::default().with_seed(5));
+        let mut croupier_sim = Simulation::from_config(SimulationConfig::default().with_seed(5));
         croupier_sim.set_delivery_filter(topology.clone());
         for i in 0..25u64 {
             let id = NodeId::new(i);
@@ -808,7 +808,7 @@ mod tests {
             );
         }
         croupier_sim.run_for_rounds(50);
-        let croupier_messages = croupier_sim.traffic().total_messages_sent();
+        let croupier_messages = croupier_sim.traffic_snapshot().total_messages_sent();
         assert!(
             gozar_messages > croupier_messages,
             "gozar={gozar_messages} should exceed croupier={croupier_messages}"

@@ -531,11 +531,11 @@ impl PssNode for NylonNode {
 mod tests {
     use super::*;
     use croupier_nat::NatTopologyBuilder;
-    use croupier_simulator::{Simulation, SimulationConfig};
+    use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
 
     fn build_sim(n_public: u64, n_private: u64, seed: u64) -> Simulation<NylonNode> {
         let topology = NatTopologyBuilder::new(seed).build();
-        let mut sim = Simulation::new(SimulationConfig::default().with_seed(seed));
+        let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(seed));
         sim.set_delivery_filter(topology.clone());
         for i in 0..(n_public + n_private) {
             let id = NodeId::new(i);
@@ -607,7 +607,7 @@ mod tests {
         // Keep-alives are the cheapest messages; verify private nodes send more messages
         // than rounds (shuffles + keep-alives) while remaining bounded.
         for (id, node) in sim.nodes() {
-            let sent = sim.traffic().node_or_default(id).messages_sent;
+            let sent = sim.traffic_snapshot().node_or_default(id).messages_sent;
             if node.nat_class().is_private() {
                 assert!(sent > 0);
             }
@@ -674,10 +674,10 @@ mod tests {
         // tested here is the mechanism behind it.)
         let mut nylon = build_sim(5, 20, 6);
         nylon.run_for_rounds(50);
-        let nylon_messages = nylon.traffic().total_messages_sent();
+        let nylon_messages = nylon.traffic_snapshot().total_messages_sent();
 
         let topology = NatTopologyBuilder::new(6).build();
-        let mut croupier_sim = Simulation::new(SimulationConfig::default().with_seed(6));
+        let mut croupier_sim = Simulation::from_config(SimulationConfig::default().with_seed(6));
         croupier_sim.set_delivery_filter(topology.clone());
         for i in 0..25u64 {
             let id = NodeId::new(i);
@@ -696,6 +696,6 @@ mod tests {
             );
         }
         croupier_sim.run_for_rounds(50);
-        assert!(nylon_messages > croupier_sim.traffic().total_messages_sent());
+        assert!(nylon_messages > croupier_sim.traffic_snapshot().total_messages_sent());
     }
 }

@@ -7,7 +7,7 @@ use croupier::{
     View,
 };
 use croupier_nat::NatTopologyBuilder;
-use croupier_simulator::{NatClass, NodeId, Simulation, SimulationConfig};
+use croupier_simulator::{NatClass, NodeId, Simulation, SimulationConfig, SimulationEngine};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -93,7 +93,7 @@ fn bench_simulated_round(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let topology = NatTopologyBuilder::new(7).build();
-                let mut sim = Simulation::new(SimulationConfig::default().with_seed(7));
+                let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(7));
                 sim.set_delivery_filter(topology.clone());
                 for i in 0..100u64 {
                     let id = NodeId::new(i);

@@ -36,6 +36,7 @@ use croupier_simulator::scheduler::reference::ReferenceEventQueue;
 use croupier_simulator::scheduler::EventQueue;
 use croupier_simulator::{
     FaultPlane, NatClass, NodeId, Seed, ShardedSimulation, SimTime, SimulationConfig,
+    SimulationEngine,
 };
 
 /// Fraction of public nodes, matching the paper's default ratio.
@@ -85,7 +86,7 @@ fn build_sim_with(
     config: CroupierConfig,
 ) -> ShardedSimulation<CroupierNode> {
     let topology = NatTopologyBuilder::new(0xE17).build();
-    let mut sim = ShardedSimulation::new(
+    let mut sim = ShardedSimulation::from_config(
         SimulationConfig::default()
             .with_seed(0xE17)
             .with_engine_threads(threads),
@@ -209,7 +210,7 @@ fn bench_workload_steady_state(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(4));
     let topology = NatTopologyBuilder::new(0xE17).build();
-    let mut sim: ShardedSimulation<CroupierNode> = ShardedSimulation::new(
+    let mut sim: ShardedSimulation<CroupierNode> = ShardedSimulation::from_config(
         SimulationConfig::default()
             .with_seed(0xE17)
             .with_engine_threads(1),

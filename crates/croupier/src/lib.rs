@@ -40,11 +40,13 @@
 //! ```
 //! use croupier::{CroupierConfig, CroupierNode};
 //! use croupier_nat::NatTopologyBuilder;
-//! use croupier_simulator::{NatClass, NodeId, PssNode, Simulation, SimulationConfig};
+//! use croupier_simulator::{
+//!     NatClass, NodeId, PssNode, Simulation, SimulationConfig, SimulationEngine,
+//! };
 //!
 //! let config = CroupierConfig::default();
 //! let topology = NatTopologyBuilder::new(1).build();
-//! let mut sim = Simulation::new(SimulationConfig::default().with_seed(1));
+//! let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(1));
 //! sim.set_delivery_filter(topology.clone());
 //!
 //! // 5 public nodes, 20 private nodes.
@@ -64,7 +66,7 @@
 //! let est = sim.node(NodeId::new(20)).unwrap().ratio_estimate().unwrap();
 //! assert!((est - 0.2).abs() < 0.1);
 //! // ... and can draw peer samples.
-//! assert!(sim.sample_from(NodeId::new(20)).is_some());
+//! assert!(sim.draw_sample(NodeId::new(20)).is_some());
 //! ```
 
 #![warn(missing_docs)]

@@ -297,7 +297,7 @@ impl Protocol for NatIdentificationNode {
 mod tests {
     use super::*;
     use croupier_nat::{FilteringPolicy, NatTopology, NatTopologyBuilder};
-    use croupier_simulator::{Simulation, SimulationConfig};
+    use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine};
 
     /// Builds a world with `n_helpers` established public nodes plus one client with the
     /// given profile, runs the protocol to completion and returns the client's conclusion.
@@ -306,7 +306,7 @@ mod tests {
             .default_filtering(FilteringPolicy::AddressAndPortDependent)
             .build();
         let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
-        let mut sim = Simulation::new(SimulationConfig::default().with_seed(13));
+        let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(13));
         sim.set_delivery_filter(topology.clone());
 
         let n_helpers = 6u64;
@@ -382,7 +382,7 @@ mod tests {
         // MatchingIpTest + ForwardTest + ForwardResponse = 3 messages on the decisive path.
         let topology = NatTopologyBuilder::new(3).build();
         let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
-        let mut sim = Simulation::new(SimulationConfig::default().with_seed(17));
+        let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(17));
         sim.set_delivery_filter(topology.clone());
         for i in 0..4u64 {
             let id = NodeId::new(i);
@@ -416,7 +416,7 @@ mod tests {
     fn client_without_helpers_times_out_to_private() {
         let topology = NatTopologyBuilder::new(5).build();
         let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
-        let mut sim = Simulation::new(SimulationConfig::default().with_seed(19));
+        let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(19));
         sim.set_delivery_filter(topology.clone());
         let client = NodeId::new(0);
         topology.add_public_node(client);

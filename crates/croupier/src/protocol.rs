@@ -469,7 +469,7 @@ impl PssNode for CroupierNode {
 mod tests {
     use super::*;
     use croupier_nat::NatTopologyBuilder;
-    use croupier_simulator::{Simulation, SimulationConfig, WireSize};
+    use croupier_simulator::{Simulation, SimulationConfig, SimulationEngine, WireSize};
 
     /// Builds a simulation of `n_public` + `n_private` Croupier nodes behind a NAT topology.
     fn build_sim(
@@ -479,7 +479,7 @@ mod tests {
         seed: u64,
     ) -> Simulation<CroupierNode> {
         let topology = NatTopologyBuilder::new(seed).build();
-        let mut sim = Simulation::new(SimulationConfig::default().with_seed(seed));
+        let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(seed));
         sim.set_delivery_filter(topology.clone());
         for i in 0..(n_public + n_private) {
             let id = NodeId::new(i);
@@ -583,9 +583,10 @@ mod tests {
         sim.run_for_rounds(60);
         let mut sampled_public = 0;
         let mut sampled_private = 0;
+        let ids: Vec<NodeId> = sim.nodes().map(|(id, _)| id).collect();
         for _ in 0..200 {
-            for id in sim.node_ids() {
-                if let Some(sample) = sim.sample_from(id) {
+            for &id in &ids {
+                if let Some(sample) = sim.draw_sample(id) {
                     if sample.as_u64() < 5 {
                         sampled_public += 1;
                     } else {
@@ -650,7 +651,7 @@ mod tests {
     fn isolated_node_without_bootstrap_stays_silent() {
         // A single node with nothing in its public view never sends anything.
         let mut sim: Simulation<CroupierNode> =
-            Simulation::new(SimulationConfig::default().with_seed(9));
+            Simulation::from_config(SimulationConfig::default().with_seed(9));
         sim.add_node(
             NodeId::new(0),
             CroupierNode::new(NodeId::new(0), NatClass::Private, CroupierConfig::default()),

@@ -8,7 +8,7 @@
 //!
 //! One `SCENARIO_<name>.json` is written per scenario into `--out` (default
 //! `target/scenario-json`). The process exits non-zero when any protocol fails to
-//! recover connectivity after the scripted disruption — the CI `scenario-matrix` job's
+//! recover connectivity after the scripted disruption — the CI scenario-matrix gate's
 //! gate.
 
 use std::env;

@@ -9,7 +9,7 @@
 //! paper figures.
 //!
 //! One [`ScenarioReport`] per scenario (all protocol cells inside) serialises to the
-//! `SCENARIO_<name>.json` artifacts the CI `scenario-matrix` job uploads; the gate is
+//! `SCENARIO_<name>.json` artifacts the CI scenario-matrix gate uploads; the gate is
 //! [`ScenarioReport::all_recovered`] — every protocol must end the run with its overlay
 //! connected again.
 

@@ -5,7 +5,7 @@ use rand::Rng;
 
 use crate::arena::NodeArena;
 use crate::bootstrap::BootstrapRegistry;
-use crate::engine_api::{HookOps, RoundHook};
+use crate::engine_api::{HookOps, RoundHook, SimulationEngine};
 use crate::event::Event;
 use crate::faults::{FaultPlane, FaultReport};
 use crate::latency::{KingLatencyModel, LatencyModel};
@@ -134,7 +134,6 @@ struct NodeSlot<P> {
     id: NodeId,
     proto: P,
     rng: SmallRng,
-    joined_at: SimTime,
 }
 
 /// Arena index of a node id (the raw id itself; ids are dense by convention).
@@ -147,8 +146,8 @@ fn slot_index(id: NodeId) -> usize {
 /// The engine owns every node's protocol instance, the event queue, the network models and
 /// the traffic ledger. Node state lives in a flat dense [`NodeArena`] indexed by the raw
 /// node id, so the per-event lookup on the hot path is a direct indexed load; node ids
-/// should therefore be assigned densely from zero (experiments already do). See the
-/// crate-level documentation for a full example.
+/// should therefore be assigned densely from zero (experiments already do). It is driven
+/// through [`SimulationEngine`]; see the crate-level documentation for a full example.
 pub struct Simulation<P: Protocol> {
     cfg: SimulationConfig,
     now: SimTime,
@@ -171,235 +170,23 @@ pub struct Simulation<P: Protocol> {
     /// Fault-injection plane, if installed; judged per outgoing message in event order
     /// (which is already canonical for this engine).
     faults: Option<FaultPlane>,
-    /// Round-barrier hook, if installed; `None` keeps [`run_until`](Self::run_until) on
-    /// the original barrier-free hot loop.
+    /// Round-barrier hook, if installed; `None` keeps
+    /// [`run_until`](SimulationEngine::run_until) on the original barrier-free hot loop.
     hook: Option<Box<dyn RoundHook>>,
     /// The protocol's peer-sampling rule, captured (monomorphised where `P: PssNode`
-    /// holds) by [`set_sampled_round_hook`](Self::set_sampled_round_hook) so the
-    /// `P: Protocol`-only barrier loop can serve [`HookOps::draw_sample`].
+    /// holds) by [`set_sampled_round_hook`](SimulationEngine::set_sampled_round_hook) so
+    /// the `P: Protocol`-only barrier loop can serve [`HookOps::draw_sample`].
     hook_sampler: Option<fn(&mut P, &mut SmallRng) -> Option<NodeId>>,
     /// Index of the last barrier handed to the hook (barrier `n` fires at `n * period`).
     barriers_fired: u64,
 }
 
 impl<P: Protocol> Simulation<P> {
-    /// Creates an engine with the given configuration, a King-like latency model, no message
-    /// loss and no NAT filtering. Use the `set_*` methods to replace the network models.
-    pub fn new(cfg: SimulationConfig) -> Self {
-        Simulation {
-            cfg,
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            nodes: NodeArena::new(),
-            latency: Box::new(KingLatencyModel::new()),
-            loss: Box::new(NoLoss),
-            filter: Box::new(OpenInternet),
-            bootstrap: BootstrapRegistry::new(),
-            traffic: TrafficLedger::new(),
-            latency_rng: cfg.seed.stream_rng(Stream::Latency),
-            loss_rng: cfg.seed.stream_rng(Stream::Loss),
-            sched_rng: cfg.seed.stream_rng(Stream::Scheduling),
-            stats: NetworkStats::default(),
-            outbox_buf: Vec::new(),
-            timers_buf: Vec::new(),
-            faults: None,
-            hook: None,
-            hook_sampler: None,
-            barriers_fired: 0,
-        }
-    }
-
-    /// Replaces the latency model.
-    pub fn set_latency_model(&mut self, model: impl LatencyModel + 'static) {
-        self.latency = Box::new(model);
-    }
-
-    /// Replaces the loss model.
-    pub fn set_loss_model(&mut self, model: impl LossModel + 'static) {
-        self.loss = Box::new(model);
-    }
-
-    /// Replaces the delivery filter (NAT/firewall emulation).
-    pub fn set_delivery_filter(&mut self, filter: impl DeliveryFilter + 'static) {
-        self.filter = Box::new(filter);
-    }
-
-    /// Installs a [`FaultPlane`] on the delivery path. The engine judges every outgoing
-    /// message against the plane (after the loss model) in event order; an inactive plane
-    /// costs one atomic load per effect batch.
-    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.faults = Some(plane);
-    }
-
-    /// The fault plane's injection counters ([`FaultReport::default`] when no plane is
-    /// installed). The protocol-side recovery counters stay zero here; the experiment
-    /// driver fills them from the nodes.
-    pub fn fault_report(&self) -> FaultReport {
-        self.faults
-            .as_ref()
-            .map(FaultPlane::report)
-            .unwrap_or_default()
-    }
-
-    /// Installs a [`RoundHook`] invoked at every future round barrier (the instants
-    /// `n * round_period`); barriers at or before the current instant never fire.
-    pub fn set_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        let period = self.cfg.round_period.as_millis().max(1);
-        self.barriers_fired = self.now.as_millis() / period;
-        self.hook = Some(hook);
-        self.hook_sampler = None;
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.cfg
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Message delivery statistics.
-    pub fn network_stats(&self) -> NetworkStats {
-        self.stats
-    }
-
-    /// The bootstrap registry.
-    pub fn bootstrap(&self) -> &BootstrapRegistry {
-        &self.bootstrap
-    }
-
-    /// Registers `node` with the bootstrap server so joiners can discover it. Typically
-    /// called for public nodes only.
-    pub fn register_public(&mut self, node: NodeId) {
-        self.bootstrap.register(node);
-    }
-
-    /// The traffic ledger (bytes and messages per node).
-    pub fn traffic(&self) -> &TrafficLedger {
-        &self.traffic
-    }
-
-    /// Mutable access to the traffic ledger, e.g. to reset the measurement window once the
-    /// overlay reaches steady state.
-    pub fn traffic_mut(&mut self) -> &mut TrafficLedger {
-        &mut self.traffic
-    }
-
-    /// Merges the traffic ledger into `out` (cleared first, map capacity retained).
-    pub fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        out.reset_window(self.traffic.window_start());
-        out.merge_from(&self.traffic);
-    }
-
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` when the simulation holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Returns `true` if `node` is currently alive.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.nodes.contains(slot_index(node))
-    }
-
-    /// Identifiers of all live nodes, in ascending id order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.iter().map(|(_, slot)| slot.id).collect()
-    }
-
-    /// Shared access to the protocol instance of `node`.
-    pub fn node(&self, node: NodeId) -> Option<&P> {
-        self.nodes.get(slot_index(node)).map(|slot| &slot.proto)
-    }
-
-    /// Exclusive access to the protocol instance of `node`.
-    pub fn node_mut(&mut self, node: NodeId) -> Option<&mut P> {
-        self.nodes
-            .get_mut(slot_index(node))
-            .map(|slot| &mut slot.proto)
-    }
-
-    /// Iterates over `(id, protocol)` pairs of all live nodes, in ascending id order.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        self.nodes.iter().map(|(_, slot)| (slot.id, &slot.proto))
-    }
-
-    /// The time at which `node` joined the simulation.
-    pub fn joined_at(&self, node: NodeId) -> Option<SimTime> {
-        self.nodes.get(slot_index(node)).map(|slot| slot.joined_at)
-    }
-
-    /// Adds a node running `proto`, invoking its [`Protocol::on_start`] callback and
-    /// scheduling its periodic rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node with the same identifier is already present.
-    pub fn add_node(&mut self, id: NodeId, proto: P) {
-        assert!(
-            !self.nodes.contains(slot_index(id)),
-            "node {id} is already part of the simulation"
-        );
-        let slot = NodeSlot {
-            id,
-            proto,
-            rng: self.cfg.seed.node_rng(id),
-            joined_at: self.now,
-        };
-        self.nodes.insert(slot_index(id), slot);
-        self.filter.on_node_added(id);
-        self.execute(id, |proto, ctx| proto.on_start(ctx));
-        let phase = if self.cfg.random_phase {
-            let period_ms = self.cfg.round_period.as_millis().max(1);
-            SimDuration::from_millis(self.sched_rng.gen_range(0..period_ms))
-        } else {
-            self.cfg.round_period
-        };
-        self.queue
-            .schedule(self.now + phase, Event::Round { node: id });
-    }
-
-    /// Removes a node (crash or departure), returning its protocol state.
-    ///
-    /// In-flight messages addressed to the node are silently dropped when they arrive, which
-    /// models a crash: no goodbye messages are sent.
-    pub fn remove_node(&mut self, id: NodeId) -> Option<P> {
-        let slot = self.nodes.remove(slot_index(id))?;
-        self.bootstrap.unregister(id);
-        self.filter.on_node_removed(id);
-        Some(slot.proto)
-    }
-
-    /// Runs the simulation until the virtual clock reaches `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        if self.hook.is_some() {
-            self.run_until_with_barriers(deadline);
-            return;
-        }
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            let scheduled = self.queue.pop().expect("peeked event must exist");
-            self.now = scheduled.at;
-            self.dispatch(scheduled.event);
-        }
-        if deadline > self.now {
-            self.now = deadline;
-        }
-    }
-
-    /// [`run_until`](Self::run_until) with an installed [`RoundHook`]: the event loop is
-    /// split at every barrier instant `n * round_period <= deadline`. The hook fires
-    /// *before* any event scheduled at or after the barrier instant dispatches — the same
-    /// observation point as the sharded engine's phase barrier, where events at exactly
-    /// the window edge belong to the next phase.
+    /// [`run_until`](SimulationEngine::run_until) with an installed [`RoundHook`]: the
+    /// event loop is split at every barrier instant `n * round_period <= deadline`. The
+    /// hook fires *before* any event scheduled at or after the barrier instant dispatches
+    /// — the same observation point as the sharded engine's phase barrier, where events
+    /// at exactly the window edge belong to the next phase.
     fn run_until_with_barriers(&mut self, deadline: SimTime) {
         let period = self.cfg.round_period.as_millis().max(1);
         loop {
@@ -431,17 +218,6 @@ impl<P: Protocol> Simulation<P> {
         if deadline > self.now {
             self.now = deadline;
         }
-    }
-
-    /// Runs the simulation for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.now + span;
-        self.run_until(deadline);
-    }
-
-    /// Runs the simulation for `rounds` gossip periods from the current instant.
-    pub fn run_for_rounds(&mut self, rounds: u64) {
-        self.run_for(self.cfg.round_period.saturating_mul(rounds));
     }
 
     fn dispatch(&mut self, event: Event<P::Message>) {
@@ -586,22 +362,6 @@ impl<P: Protocol> Simulation<P> {
     }
 }
 
-impl<P: PssNode> Simulation<P> {
-    /// Draws a peer sample from `node` using the node's own random stream, following the
-    /// protocol's sampling rule.
-    pub fn sample_from(&mut self, node: NodeId) -> Option<NodeId> {
-        let slot = self.nodes.get_mut(slot_index(node))?;
-        slot.proto.draw_sample(&mut slot.rng)
-    }
-
-    /// Installs a [`RoundHook`] like [`set_round_hook`](Self::set_round_hook) and captures
-    /// the protocol's sampling rule so the hook's [`HookOps::draw_sample`] calls work.
-    pub fn set_sampled_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        self.set_round_hook(hook);
-        self.hook_sampler = Some(P::draw_sample);
-    }
-}
-
 impl<P: Protocol> HookOps for Simulation<P> {
     fn draw_sample(&mut self, node: NodeId) -> Option<NodeId> {
         let sampler = self.hook_sampler?;
@@ -627,77 +387,150 @@ impl<P: Protocol> HookOps for Simulation<P> {
     }
 }
 
-impl<P: Protocol> crate::engine_api::SimulationEngine<P> for Simulation<P> {
+impl<P: Protocol> SimulationEngine<P> for Simulation<P> {
+    /// Creates an engine with a King-like latency model, no message loss and no NAT
+    /// filtering; the `set_*` methods replace the network models.
     fn from_config(cfg: SimulationConfig) -> Self {
-        Simulation::new(cfg)
+        Simulation {
+            cfg,
+            now: SimTime::ZERO,
+            queue: EventQueue::new(),
+            nodes: NodeArena::new(),
+            latency: Box::new(KingLatencyModel::new()),
+            loss: Box::new(NoLoss),
+            filter: Box::new(OpenInternet),
+            bootstrap: BootstrapRegistry::new(),
+            traffic: TrafficLedger::new(),
+            latency_rng: cfg.seed.stream_rng(Stream::Latency),
+            loss_rng: cfg.seed.stream_rng(Stream::Loss),
+            sched_rng: cfg.seed.stream_rng(Stream::Scheduling),
+            stats: NetworkStats::default(),
+            outbox_buf: Vec::new(),
+            timers_buf: Vec::new(),
+            faults: None,
+            hook: None,
+            hook_sampler: None,
+            barriers_fired: 0,
+        }
     }
 
     fn set_latency_model<L: LatencyModel + Send + Sync + 'static>(&mut self, model: L) {
-        Simulation::set_latency_model(self, model);
+        self.latency = Box::new(model);
     }
 
     fn set_loss_model<L: LossModel + Send + Sync + 'static>(&mut self, model: L) {
-        Simulation::set_loss_model(self, model);
+        self.loss = Box::new(model);
     }
 
     fn set_delivery_filter<D: DeliveryFilter + 'static>(&mut self, filter: D) {
-        Simulation::set_delivery_filter(self, filter);
+        self.filter = Box::new(filter);
     }
 
+    /// Barriers at or before the current instant never fire.
     fn set_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        Simulation::set_round_hook(self, hook);
+        let period = self.cfg.round_period.as_millis().max(1);
+        self.barriers_fired = self.now.as_millis() / period;
+        self.hook = Some(hook);
+        self.hook_sampler = None;
     }
 
     fn set_sampled_round_hook(&mut self, hook: Box<dyn RoundHook>)
     where
         P: PssNode,
     {
-        Simulation::set_sampled_round_hook(self, hook);
+        self.set_round_hook(hook);
+        self.hook_sampler = Some(P::draw_sample);
     }
 
+    /// The plane judges every outgoing message after the loss model, in event order; an
+    /// inactive plane costs one atomic load per effect batch.
     fn set_fault_plane(&mut self, plane: FaultPlane) {
-        Simulation::set_fault_plane(self, plane);
+        self.faults = Some(plane);
     }
 
     fn fault_report(&self) -> FaultReport {
-        Simulation::fault_report(self)
+        self.faults
+            .as_ref()
+            .map(FaultPlane::report)
+            .unwrap_or_default()
     }
 
     fn config(&self) -> &SimulationConfig {
-        Simulation::config(self)
+        &self.cfg
     }
 
     fn now(&self) -> SimTime {
-        Simulation::now(self)
+        self.now
     }
 
     fn len(&self) -> usize {
-        Simulation::len(self)
+        self.nodes.len()
     }
 
     fn contains(&self, node: NodeId) -> bool {
-        Simulation::contains(self, node)
+        self.nodes.contains(slot_index(node))
+    }
+
+    fn node(&self, node: NodeId) -> Option<&P> {
+        self.nodes.get(slot_index(node)).map(|slot| &slot.proto)
+    }
+
+    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a P)>
+    where
+        P: 'a,
+    {
+        self.nodes.iter().map(|(_, slot)| (slot.id, &slot.proto))
     }
 
     fn register_public(&mut self, node: NodeId) {
-        Simulation::register_public(self, node);
+        self.bootstrap.register(node);
     }
 
     fn add_node(&mut self, id: NodeId, proto: P) {
-        Simulation::add_node(self, id, proto);
+        assert!(
+            !self.nodes.contains(slot_index(id)),
+            "node {id} is already part of the simulation"
+        );
+        let slot = NodeSlot {
+            id,
+            proto,
+            rng: self.cfg.seed.node_rng(id),
+        };
+        self.nodes.insert(slot_index(id), slot);
+        self.filter.on_node_added(id);
+        self.execute(id, |proto, ctx| proto.on_start(ctx));
+        let phase = if self.cfg.random_phase {
+            let period_ms = self.cfg.round_period.as_millis().max(1);
+            SimDuration::from_millis(self.sched_rng.gen_range(0..period_ms))
+        } else {
+            self.cfg.round_period
+        };
+        self.queue
+            .schedule(self.now + phase, Event::Round { node: id });
     }
 
     fn remove_node(&mut self, id: NodeId) -> Option<P> {
-        Simulation::remove_node(self, id)
+        let slot = self.nodes.remove(slot_index(id))?;
+        self.bootstrap.unregister(id);
+        self.filter.on_node_removed(id);
+        Some(slot.proto)
     }
 
     fn run_until(&mut self, deadline: SimTime) {
-        Simulation::run_until(self, deadline);
-    }
-
-    fn for_each_node(&self, f: &mut dyn FnMut(NodeId, &P)) {
-        for (id, proto) in self.nodes() {
-            f(id, proto);
+        if self.hook.is_some() {
+            self.run_until_with_barriers(deadline);
+            return;
+        }
+        while let Some(at) = self.queue.peek_time() {
+            if at > deadline {
+                break;
+            }
+            let scheduled = self.queue.pop().expect("peeked event must exist");
+            self.now = scheduled.at;
+            self.dispatch(scheduled.event);
+        }
+        if deadline > self.now {
+            self.now = deadline;
         }
     }
 
@@ -707,7 +540,7 @@ impl<P: Protocol> crate::engine_api::SimulationEngine<P> for Simulation<P> {
     }
 
     fn network_stats(&self) -> NetworkStats {
-        Simulation::network_stats(self)
+        self.stats
     }
 
     fn traffic_snapshot(&self) -> TrafficLedger {
@@ -715,7 +548,8 @@ impl<P: Protocol> crate::engine_api::SimulationEngine<P> for Simulation<P> {
     }
 
     fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        Simulation::traffic_snapshot_into(self, out);
+        out.reset_window(self.traffic.window_start());
+        out.merge_from(&self.traffic);
     }
 
     fn reset_traffic_window(&mut self) {
@@ -727,104 +561,27 @@ impl<P: Protocol> crate::engine_api::SimulationEngine<P> for Simulation<P> {
     where
         P: PssNode,
     {
-        self.sample_from(node)
+        let slot = self.nodes.get_mut(slot_index(node))?;
+        slot.proto.draw_sample(&mut slot.rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conformance::{engine_conformance_tests, pair, Probe};
     use crate::latency::ConstantLatency;
     use crate::loss::BernoulliLoss;
-    use crate::protocol::TimerKey;
-    use crate::types::NatClass;
 
-    /// Test protocol: floods a counter to a fixed buddy each round.
-    struct Buddy {
-        buddy: Option<NodeId>,
-        received: Vec<u32>,
-        rounds: u64,
-        timer_fired: bool,
+    // The event engine ignores the worker count.
+    engine_conformance_tests!(Simulation<Probe>, [0]);
+
+    fn two_node_sim() -> Simulation<Probe> {
+        pair(0)
     }
 
-    impl Buddy {
-        fn new(buddy: Option<NodeId>) -> Self {
-            Buddy {
-                buddy,
-                received: Vec::new(),
-                rounds: 0,
-                timer_fired: false,
-            }
-        }
-    }
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Counter(u32);
-
-    impl WireSize for Counter {
-        fn wire_size(&self) -> usize {
-            100
-        }
-    }
-
-    impl Protocol for Buddy {
-        type Message = Counter;
-
-        fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-            ctx.set_timer(SimDuration::from_millis(10), TimerKey::new(1));
-        }
-
-        fn on_round(&mut self, ctx: &mut Context<'_, Self::Message>) {
-            self.rounds += 1;
-            if let Some(buddy) = self.buddy {
-                ctx.send(buddy, Counter(self.rounds as u32));
-            }
-        }
-
-        fn on_message(
-            &mut self,
-            _from: NodeId,
-            msg: Self::Message,
-            _ctx: &mut Context<'_, Self::Message>,
-        ) {
-            self.received.push(msg.0);
-        }
-
-        fn on_timer(&mut self, key: TimerKey, _ctx: &mut Context<'_, Self::Message>) {
-            assert_eq!(key, TimerKey::new(1));
-            self.timer_fired = true;
-        }
-    }
-
-    impl PssNode for Buddy {
-        fn nat_class(&self) -> NatClass {
-            NatClass::Public
-        }
-
-        fn known_peers(&self) -> Vec<NodeId> {
-            self.buddy.into_iter().collect()
-        }
-
-        fn draw_sample(&mut self, _rng: &mut SmallRng) -> Option<NodeId> {
-            self.buddy
-        }
-
-        fn rounds_executed(&self) -> u64 {
-            self.rounds
-        }
-    }
-
-    fn two_node_sim() -> Simulation<Buddy> {
-        let mut sim = Simulation::new(
-            SimulationConfig::default()
-                .with_seed(3)
-                .with_round_jitter(0.0)
-                .with_random_phase(false),
-        );
-        sim.set_latency_model(ConstantLatency::new(SimDuration::from_millis(10)));
-        sim.add_node(NodeId::new(1), Buddy::new(Some(NodeId::new(2))));
-        sim.add_node(NodeId::new(2), Buddy::new(Some(NodeId::new(1))));
-        sim
+    fn received(sim: &Simulation<Probe>, id: u64) -> usize {
+        sim.node(NodeId::new(id)).unwrap().received.len()
     }
 
     #[test]
@@ -869,10 +626,8 @@ mod tests {
         // Rounds at t = 1..5 s, 10 ms latency; flush the in-flight round-5 copies.
         sim.run_for(SimDuration::from_secs(5));
         sim.run_for(SimDuration::from_millis(20));
-        let n1 = sim.node(NodeId::new(1)).unwrap();
-        let n2 = sim.node(NodeId::new(2)).unwrap();
-        assert_eq!(n1.received.len(), 10);
-        assert_eq!(n2.received.len(), 10);
+        assert_eq!(received(&sim, 1), 10);
+        assert_eq!(received(&sim, 2), 10);
         assert_eq!(sim.fault_report().duplicates, 10);
         assert_eq!(sim.network_stats().delivered, 20);
     }
@@ -905,10 +660,8 @@ mod tests {
         // Rounds fire at t = 1..5 s; each message takes 10 ms, so the round-5 messages are
         // still in flight when the clock stops at exactly 5 s.
         sim.run_for(SimDuration::from_secs(5));
-        let n1 = sim.node(NodeId::new(1)).unwrap();
-        let n2 = sim.node(NodeId::new(2)).unwrap();
-        assert_eq!(n1.received.len(), 4);
-        assert_eq!(n2.received.len(), 4);
+        assert_eq!(received(&sim, 1), 4);
+        assert_eq!(received(&sim, 2), 4);
         assert_eq!(sim.network_stats().delivered, 8);
         // Running a little longer flushes the in-flight messages.
         sim.run_for(SimDuration::from_millis(20));
@@ -925,37 +678,8 @@ mod tests {
     }
 
     #[test]
-    fn traffic_ledger_accounts_bytes() {
-        let mut sim = two_node_sim();
-        // Run slightly past the fourth round so the fourth delivery (at 4 s + 10 ms) lands.
-        sim.run_for(SimDuration::from_millis(4_500));
-        let t1 = sim.traffic().node_or_default(NodeId::new(1));
-        assert_eq!(t1.bytes_sent, 400);
-        assert_eq!(t1.bytes_received, 400);
-    }
-
-    #[test]
-    fn removed_node_stops_receiving() {
-        let mut sim = two_node_sim();
-        sim.run_for(SimDuration::from_secs(2));
-        sim.remove_node(NodeId::new(2)).unwrap();
-        sim.run_for(SimDuration::from_secs(3));
-        // Node 1 keeps sending to the dead node; those messages count as destination_gone.
-        assert!(sim.network_stats().destination_gone > 0);
-        assert!(!sim.contains(NodeId::new(2)));
-        assert_eq!(sim.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "already part of the simulation")]
-    fn duplicate_node_panics() {
-        let mut sim = two_node_sim();
-        sim.add_node(NodeId::new(1), Buddy::new(None));
-    }
-
-    #[test]
     fn loss_model_drops_messages() {
-        let mut sim = Simulation::new(
+        let mut sim = Simulation::from_config(
             SimulationConfig::default()
                 .with_seed(4)
                 .with_round_jitter(0.0)
@@ -963,19 +687,12 @@ mod tests {
         );
         sim.set_latency_model(ConstantLatency::new(SimDuration::from_millis(1)));
         sim.set_loss_model(BernoulliLoss::new(1.0));
-        sim.add_node(NodeId::new(1), Buddy::new(Some(NodeId::new(2))));
-        sim.add_node(NodeId::new(2), Buddy::new(None));
+        sim.add_node(NodeId::new(1), Probe::new(Some(NodeId::new(2))));
+        sim.add_node(NodeId::new(2), Probe::new(None));
         sim.run_for(SimDuration::from_secs(5));
         assert_eq!(sim.network_stats().delivered, 0);
         assert_eq!(sim.network_stats().lost, 5);
-        assert!(sim.node(NodeId::new(2)).unwrap().received.is_empty());
-    }
-
-    #[test]
-    fn run_until_advances_clock_even_without_events() {
-        let mut sim: Simulation<Buddy> = Simulation::new(SimulationConfig::default());
-        sim.run_until(SimTime::from_secs(42));
-        assert_eq!(sim.now(), SimTime::from_secs(42));
+        assert_eq!(received(&sim, 2), 0);
     }
 
     #[test]
@@ -992,52 +709,9 @@ mod tests {
     }
 
     #[test]
-    fn sample_from_uses_protocol_rule() {
-        let mut sim = two_node_sim();
-        assert_eq!(sim.sample_from(NodeId::new(1)), Some(NodeId::new(2)));
-        assert_eq!(sim.sample_from(NodeId::new(99)), None);
-    }
-
-    #[test]
-    fn joined_at_records_join_time() {
-        let mut sim = two_node_sim();
-        sim.run_until(SimTime::from_secs(3));
-        sim.add_node(NodeId::new(7), Buddy::new(None));
-        assert_eq!(sim.joined_at(NodeId::new(7)), Some(SimTime::from_secs(3)));
-        assert_eq!(sim.joined_at(NodeId::new(1)), Some(SimTime::ZERO));
-    }
-
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    /// Records every barrier the engine hands to the hook.
-    struct Recorder(Rc<RefCell<Vec<(u64, SimTime)>>>);
-
-    impl RoundHook for Recorder {
-        fn on_round_barrier(&mut self, round: u64, now: SimTime) {
-            self.0.borrow_mut().push((round, now));
-        }
-    }
-
-    #[test]
-    fn round_hook_fires_once_per_barrier() {
-        let mut sim = two_node_sim();
-        let log = Rc::new(RefCell::new(Vec::new()));
-        sim.set_round_hook(Box::new(Recorder(Rc::clone(&log))));
-        // Split the run across several run_until calls, including one that re-reaches an
-        // already-fired barrier: no barrier may fire twice.
-        sim.run_until(SimTime::from_millis(2_500));
-        sim.run_until(SimTime::from_millis(2_500));
-        sim.run_until(SimTime::from_secs(5));
-        let fired = log.borrow().clone();
-        let expected: Vec<(u64, SimTime)> = (1..=5)
-            .map(|n| (n, SimTime::from_secs(n)))
-            .collect::<Vec<_>>();
-        assert_eq!(fired, expected);
-    }
-
-    #[test]
     fn round_hook_fires_before_events_at_the_barrier_instant() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
         // With zero jitter and no random phase, rounds fire exactly at 1 s, 2 s, ... —
         // i.e. exactly at the barrier instants. The hook must run before the round
         // callbacks scheduled at the same instant (events at the barrier belong to the
@@ -1047,7 +721,7 @@ mod tests {
 
         struct Tracer(Rc<RefCell<Vec<&'static str>>>);
         impl Protocol for Tracer {
-            type Message = Counter;
+            type Message = crate::conformance::Counter;
             fn on_start(&mut self, _ctx: &mut Context<'_, Self::Message>) {}
             fn on_round(&mut self, _ctx: &mut Context<'_, Self::Message>) {
                 self.0.borrow_mut().push("round");
@@ -1067,12 +741,7 @@ mod tests {
             }
         }
 
-        let mut sim = Simulation::new(
-            SimulationConfig::default()
-                .with_seed(3)
-                .with_round_jitter(0.0)
-                .with_random_phase(false),
-        );
+        let mut sim = Simulation::from_config(crate::conformance::config(0));
         sim.add_node(NodeId::new(0), Tracer(Rc::clone(&trace)));
         sim.set_round_hook(Box::new(BarrierTracer(Rc::clone(&trace))));
         sim.run_until(SimTime::from_secs(2));
@@ -1080,89 +749,6 @@ mod tests {
             trace.borrow().as_slice(),
             &["barrier", "round", "barrier", "round"],
             "each barrier precedes the round callbacks at the same instant"
-        );
-    }
-
-    #[test]
-    fn round_hook_installed_mid_run_skips_past_barriers() {
-        let mut sim = two_node_sim();
-        sim.run_until(SimTime::from_secs(3));
-        let log = Rc::new(RefCell::new(Vec::new()));
-        sim.set_round_hook(Box::new(Recorder(Rc::clone(&log))));
-        sim.run_until(SimTime::from_secs(5));
-        let rounds: Vec<u64> = log.borrow().iter().map(|(r, _)| *r).collect();
-        assert_eq!(rounds, vec![4, 5], "barriers 1..3 predate the hook");
-    }
-
-    #[test]
-    fn round_hook_fires_on_an_empty_queue() {
-        let mut sim: Simulation<Buddy> = Simulation::new(
-            SimulationConfig::default()
-                .with_round_jitter(0.0)
-                .with_random_phase(false),
-        );
-        let log = Rc::new(RefCell::new(Vec::new()));
-        sim.set_round_hook(Box::new(Recorder(Rc::clone(&log))));
-        sim.run_until(SimTime::from_secs(3));
-        assert_eq!(log.borrow().len(), 3, "barriers fire without any events");
-        assert_eq!(sim.now(), SimTime::from_secs(3));
-    }
-
-    /// Probes the `HookOps` seam at each barrier: the live-id walk, liveness queries,
-    /// protocol-rule sample draws and ledger charging.
-    struct SeamProbe(Rc<RefCell<Vec<Option<NodeId>>>>);
-
-    impl RoundHook for SeamProbe {
-        fn on_round_barrier(&mut self, _round: u64, _now: SimTime) {}
-
-        fn on_round_barrier_with(&mut self, _round: u64, _now: SimTime, ops: &mut dyn HookOps) {
-            let mut ids = Vec::new();
-            ops.live_node_ids_into(&mut ids);
-            assert_eq!(ids, vec![NodeId::new(1), NodeId::new(2)]);
-            assert!(ops.is_live(NodeId::new(1)));
-            assert!(!ops.is_live(NodeId::new(99)));
-            self.0.borrow_mut().push(ops.draw_sample(NodeId::new(1)));
-            ops.record_transfer(NodeId::new(1), NodeId::new(2), 500);
-            ops.record_blocked(NodeId::new(2));
-        }
-    }
-
-    #[test]
-    fn sampled_round_hook_serves_draws_and_charges_the_ledger() {
-        let mut sim = two_node_sim();
-        let samples = Rc::new(RefCell::new(Vec::new()));
-        sim.set_sampled_round_hook(Box::new(SeamProbe(Rc::clone(&samples))));
-        sim.run_until(SimTime::from_secs(2));
-        // Buddy's sampling rule always returns the buddy.
-        assert_eq!(
-            samples.borrow().as_slice(),
-            &[Some(NodeId::new(2)), Some(NodeId::new(2))]
-        );
-        let t1 = sim.traffic().node_or_default(NodeId::new(1));
-        let t2 = sim.traffic().node_or_default(NodeId::new(2));
-        // Two barriers × 500 workload bytes on top of the protocol's own 100-byte sends.
-        assert!(t1.bytes_sent >= 1_000, "sent {}", t1.bytes_sent);
-        assert!(t2.bytes_received >= 1_000, "received {}", t2.bytes_received);
-        assert_eq!(t2.messages_dropped, 2, "one blocked record per barrier");
-    }
-
-    #[test]
-    fn plain_round_hook_has_no_sampling_rule() {
-        struct DrawProbe(Rc<RefCell<Vec<Option<NodeId>>>>);
-        impl RoundHook for DrawProbe {
-            fn on_round_barrier(&mut self, _round: u64, _now: SimTime) {}
-            fn on_round_barrier_with(&mut self, _round: u64, _now: SimTime, ops: &mut dyn HookOps) {
-                self.0.borrow_mut().push(ops.draw_sample(NodeId::new(1)));
-            }
-        }
-        let mut sim = two_node_sim();
-        let draws = Rc::new(RefCell::new(Vec::new()));
-        sim.set_round_hook(Box::new(DrawProbe(Rc::clone(&draws))));
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(
-            draws.borrow().as_slice(),
-            &[None, None],
-            "the plain installer must not capture a sampling rule"
         );
     }
 }

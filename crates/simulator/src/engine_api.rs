@@ -1,11 +1,13 @@
 //! The common surface of the two execution engines.
 //!
-//! [`SimulationEngine`] abstracts over the event-driven [`Simulation`](crate::Simulation)
-//! and the phase-parallel [`ShardedSimulation`](crate::ShardedSimulation) so that the
-//! experiment driver and the metrics crate can run any protocol on either engine without
-//! special-casing. The trait deliberately exposes *snapshot*-style accessors (owned
-//! [`TrafficLedger`], callback-based node iteration) because the sharded engine keeps its
-//! state split across shards and has no single borrow to hand out.
+//! [`SimulationEngine`] is the only driver API of the event-driven
+//! [`Simulation`](crate::Simulation) and the phase-parallel
+//! [`ShardedSimulation`](crate::ShardedSimulation): neither type has inherent public
+//! methods, so the experiment driver, the metrics crate, tests and examples run any
+//! protocol on either engine through the same calls. Node access borrows
+//! ([`node`](SimulationEngine::node), [`nodes`](SimulationEngine::nodes)); traffic comes
+//! out as a merged [`TrafficLedger`] copy, because the sharded engine splits its counters
+//! across per-shard ledgers that only a merge can combine.
 //!
 //! This trait is the *driver-facing* half of the engine seam. The *protocol-facing* half
 //! is [`Transport`](crate::Transport): both engines hand protocol callbacks a
@@ -204,13 +206,40 @@ pub trait SimulationEngine<P: Protocol> {
     /// Returns `true` if `node` is currently alive.
     fn contains(&self, node: NodeId) -> bool;
 
-    /// Registers `node` with the bootstrap server.
+    /// Shared access to the protocol instance of `node`, or `None` if it is not live.
+    fn node(&self, node: NodeId) -> Option<&P>;
+
+    /// Iterates over the `(id, protocol)` pairs of the live nodes, each exactly once. The
+    /// global order is unspecified: each engine walks its own storage. Callers that need
+    /// a canonical order sort what they collect, as [`OverlaySnapshot`] does.
+    ///
+    /// [`OverlaySnapshot`]: https://docs.rs/croupier-metrics
+    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a P)>
+    where
+        P: 'a;
+
+    /// Invokes `f` once per live node, in [`nodes`](Self::nodes) order.
+    fn for_each_node(&self, f: &mut dyn FnMut(NodeId, &P)) {
+        for (id, proto) in self.nodes() {
+            f(id, proto);
+        }
+    }
+
+    /// Registers `node` with the bootstrap server so joiners can discover it. Typically
+    /// called for public nodes only.
     fn register_public(&mut self, node: NodeId);
 
-    /// Adds a node running `proto`.
+    /// Adds a node running `proto`, invoking its [`Protocol::on_start`] callback at the
+    /// current instant and scheduling its periodic rounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node with the same identifier is already present.
     fn add_node(&mut self, id: NodeId, proto: P);
 
-    /// Removes a node, returning its protocol state.
+    /// Removes a node (crash or departure), returning its protocol state. Messages still
+    /// in flight to the node count as `destination_gone` when they arrive; no goodbye
+    /// messages are sent.
     fn remove_node(&mut self, id: NodeId) -> Option<P>;
 
     /// Runs the simulation until the virtual clock reaches `deadline`.
@@ -226,13 +255,6 @@ pub trait SimulationEngine<P: Protocol> {
     fn run_for_rounds(&mut self, rounds: u64) {
         self.run_for(self.config().round_period.saturating_mul(rounds));
     }
-
-    /// Invokes `f` once per live node, in ascending node-id order within each storage
-    /// stripe (the exact global order is unspecified; callers needing a canonical order
-    /// sort what they collect, as [`OverlaySnapshot`] does).
-    ///
-    /// [`OverlaySnapshot`]: https://docs.rs/croupier-metrics
-    fn for_each_node(&self, f: &mut dyn FnMut(NodeId, &P));
 
     /// Exclusive upper bound on the raw ids of live nodes: every live node's id is
     /// strictly below this value, and the bound only grows over the engine's lifetime.
@@ -253,17 +275,15 @@ pub trait SimulationEngine<P: Protocol> {
 
     /// Merges the per-node traffic ledger into `out` (cleared first, map capacity
     /// retained). Callers that sample traffic repeatedly should keep one ledger alive and
-    /// use this instead of [`traffic_snapshot`](Self::traffic_snapshot), which clones a
-    /// fresh ledger per call; both engines override the default with an allocation-free
-    /// merge.
-    fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        *out = self.traffic_snapshot();
-    }
+    /// use this instead of [`traffic_snapshot`](Self::traffic_snapshot), which builds a
+    /// fresh ledger per call.
+    fn traffic_snapshot_into(&self, out: &mut TrafficLedger);
 
     /// Clears all traffic counters and restarts the measurement window at the current time.
     fn reset_traffic_window(&mut self);
 
-    /// Draws a peer sample from `node` using the node's own random stream.
+    /// Draws a peer sample from `node` through its protocol's sampling rule and the
+    /// node's own random stream; `None` when the node is not live or has no peer to offer.
     fn draw_sample(&mut self, node: NodeId) -> Option<NodeId>
     where
         P: PssNode;

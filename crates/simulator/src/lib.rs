@@ -9,8 +9,8 @@
 //! * a [`Simulation`] engine driving per-node [`Protocol`] state machines with periodic
 //!   gossip rounds, timers and point-to-point messages,
 //! * a [`ShardedSimulation`] engine executing the same protocols phase-parallel over
-//!   multiple worker threads (see the [`sharded`] module for the execution model), behind
-//!   the common [`SimulationEngine`] trait,
+//!   multiple worker threads (see the [`sharded`] module for the execution model),
+//! * the [`SimulationEngine`] trait, the only API either engine is driven through,
 //! * pluggable [`LatencyModel`]s (constant, uniform, and a synthetic King-data-set-like
 //!   model), [`LossModel`]s and [`DeliveryFilter`]s (the NAT emulation in `croupier-nat`
 //!   implements the latter),
@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use croupier_simulator::{
-//!     Context, NodeId, Protocol, Simulation, SimulationConfig, WireSize,
+//!     Context, NodeId, Protocol, Simulation, SimulationConfig, SimulationEngine, WireSize,
 //! };
 //!
 //! /// A toy protocol: every round each node pings a random bootstrap node.
@@ -66,7 +66,7 @@
 //!     }
 //! }
 //!
-//! let mut sim = Simulation::new(SimulationConfig::default().with_seed(7));
+//! let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(7));
 //! for i in 0..8 {
 //!     let id = NodeId::new(i);
 //!     sim.register_public(id);
@@ -82,6 +82,8 @@
 
 pub mod arena;
 pub mod bootstrap;
+#[cfg(test)]
+mod conformance;
 pub mod engine;
 pub mod engine_api;
 pub mod event;

@@ -79,7 +79,6 @@ struct NodeState<P> {
     net_rng: SmallRng,
     /// The node's round-phase and clock-skew stream.
     sched_rng: SmallRng,
-    joined_at: SimTime,
     /// Monotone per-node counter stamped on emitted messages; the canonical merge order
     /// tie-breaker for messages a node sends at the same instant.
     msg_seq: u64,
@@ -274,14 +273,15 @@ impl<P: Protocol> Shard<P> {
     }
 }
 
-/// The sharded, phase-parallel simulation engine. See the module documentation for the
-/// execution model and the determinism argument.
+/// The sharded, phase-parallel simulation engine, driven through [`SimulationEngine`].
+/// See the module documentation for the execution model and the determinism argument.
 ///
 /// # Examples
 ///
 /// ```
 /// use croupier_simulator::{
-///     Context, NodeId, Protocol, ShardedSimulation, SimulationConfig, WireSize,
+///     Context, NodeId, Protocol, ShardedSimulation, SimulationConfig, SimulationEngine,
+///     WireSize,
 /// };
 ///
 /// struct Ping(u64);
@@ -309,7 +309,7 @@ impl<P: Protocol> Shard<P> {
 /// }
 ///
 /// let cfg = SimulationConfig::default().with_seed(7).with_engine_threads(2);
-/// let mut sim = ShardedSimulation::new(cfg);
+/// let mut sim = ShardedSimulation::from_config(cfg);
 /// for i in 0..16 {
 ///     sim.register_public(NodeId::new(i));
 ///     sim.add_node(NodeId::new(i), Ping(0));
@@ -345,16 +345,16 @@ pub struct ShardedSimulation<P: Protocol> {
     /// canonical order, then every shard drains its own list into its own queue — in
     /// parallel when the batch is large enough to pay for the threads.
     delivery_bufs: Vec<Vec<(SimTime, Event<P::Message>)>>,
-    /// Cached ascending id list served by [`node_ids`](Self::node_ids); rebuilt lazily
-    /// after a membership change (`node_ids_valid` false).
+    /// Cached ascending id list served by [`node_ids_ref`](Self::node_ids_ref); rebuilt
+    /// lazily after a membership change (`node_ids_valid` false).
     cached_node_ids: RefCell<Vec<NodeId>>,
     node_ids_valid: Cell<bool>,
     /// Round-barrier hook, if installed; runs on the coordinating thread right after each
     /// phase's canonical merge, so its effects are worker-count independent.
     hook: Option<Box<dyn RoundHook>>,
     /// The protocol's peer-sampling rule, captured (monomorphised where `P: PssNode`
-    /// holds) by [`set_sampled_round_hook`](Self::set_sampled_round_hook) so the
-    /// `P: Protocol`-only barrier loop can serve [`HookOps::draw_sample`].
+    /// holds) by [`set_sampled_round_hook`](SimulationEngine::set_sampled_round_hook) so
+    /// the `P: Protocol`-only barrier loop can serve [`HookOps::draw_sample`].
     hook_sampler: Option<fn(&mut P, &mut SmallRng) -> Option<NodeId>>,
     /// Fault-injection plane, if installed; judged during the barrier's sequential
     /// canonical-order pass, so injected faults are worker-count independent too.
@@ -365,174 +365,19 @@ impl<P: Protocol + Send> ShardedSimulation<P>
 where
     P::Message: Send,
 {
-    /// Creates a sharded engine with `cfg.engine_threads` worker shards (at least one), a
-    /// King-like latency model, no message loss and no NAT filtering.
-    pub fn new(cfg: SimulationConfig) -> Self {
-        let workers = cfg.engine_threads.max(1);
-        ShardedSimulation {
-            cfg,
-            now: SimTime::ZERO,
-            next_phase: 0,
-            shards: (0..workers).map(|_| Shard::new(workers as u64)).collect(),
-            latency: Box::new(KingLatencyModel::new()),
-            loss: Box::new(NoLoss),
-            filter: Box::new(OpenInternet),
-            bootstrap: BootstrapRegistry::new(),
-            barrier_traffic: TrafficLedger::new(),
-            barrier_stats: NetworkStats::default(),
-            merge_buf: Vec::new(),
-            heap_buf: Vec::new(),
-            delivery_bufs: (0..workers).map(|_| Vec::new()).collect(),
-            cached_node_ids: RefCell::new(Vec::new()),
-            node_ids_valid: Cell::new(false),
-            hook: None,
-            hook_sampler: None,
-            faults: None,
-        }
-    }
-
-    /// Replaces the latency model; workers sample it concurrently through
-    /// [`LatencyModel::sample_shared`].
-    pub fn set_latency_model(&mut self, model: impl LatencyModel + Send + Sync + 'static) {
-        self.latency = Box::new(model);
-    }
-
-    /// Replaces the loss model; workers consult it concurrently through
-    /// [`LossModel::drops_shared`].
-    pub fn set_loss_model(&mut self, model: impl LossModel + Send + Sync + 'static) {
-        self.loss = Box::new(model);
-    }
-
-    /// Replaces the delivery filter. The filter runs on the coordinating thread only, at
-    /// the round barriers, in the canonical merge order.
-    pub fn set_delivery_filter(&mut self, filter: impl DeliveryFilter + 'static) {
-        self.filter = Box::new(filter);
-    }
-
-    /// Installs a [`RoundHook`] invoked at every future phase barrier, on the
-    /// coordinating thread, after the phase's canonical cross-shard merge. Phases that
-    /// already ran never replay their barriers.
-    pub fn set_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        self.hook = Some(hook);
-        self.hook_sampler = None;
-    }
-
-    /// Installs a [`FaultPlane`] judged per message during the barrier's sequential
-    /// canonical-order pass, which keeps fault injection bit-identical across worker
-    /// counts.
-    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.faults = Some(plane);
-    }
-
-    /// The fault plane's injection counters ([`FaultReport::default`] when no plane is
-    /// installed).
-    pub fn fault_report(&self) -> FaultReport {
-        self.faults
-            .as_ref()
-            .map(FaultPlane::report)
-            .unwrap_or_default()
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &SimulationConfig {
-        &self.cfg
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of worker shards (= worker threads) the engine runs with.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Aggregated message delivery statistics across the barrier and all shards.
-    pub fn network_stats(&self) -> NetworkStats {
-        let mut stats = self.barrier_stats;
-        for shard in &self.shards {
-            stats.merge(shard.stats);
-        }
-        stats
-    }
-
-    /// The bootstrap registry.
-    pub fn bootstrap(&self) -> &BootstrapRegistry {
-        &self.bootstrap
-    }
-
-    /// Registers `node` with the bootstrap server so joiners can discover it.
-    pub fn register_public(&mut self, node: NodeId) {
-        self.bootstrap.register(node);
-    }
-
-    /// A merged copy of the per-node traffic ledger (barrier-side sender counters plus
-    /// every shard's receiver counters).
-    pub fn traffic_snapshot(&self) -> TrafficLedger {
-        let mut merged = TrafficLedger::new();
-        self.traffic_snapshot_into(&mut merged);
-        merged
-    }
-
-    /// Merges the per-node traffic ledger into `out` (cleared first), reusing `out`'s map
-    /// capacity instead of cloning a fresh ledger per call — callers that sample traffic
-    /// repeatedly (the experiment driver's overhead windows) keep one ledger alive and
-    /// pay zero allocations per sample in steady state.
-    pub fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        out.reset_window(self.barrier_traffic.window_start());
-        out.merge_from(&self.barrier_traffic);
-        for shard in &self.shards {
-            out.merge_from(&shard.traffic);
-        }
-    }
-
-    /// Clears all traffic counters and restarts the measurement window at the current time.
-    pub fn reset_traffic_window(&mut self) {
-        let now = self.now;
-        self.barrier_traffic.reset_window(now);
-        for shard in &mut self.shards {
-            shard.traffic.reset_window(now);
-        }
-    }
-
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.nodes.len()).sum()
-    }
-
-    /// Returns `true` when the simulation holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn locate(&self, node: NodeId) -> (usize, usize) {
         let stride = self.shards.len() as u64;
         ((node.as_u64() % stride) as usize, local_index(node, stride))
     }
 
-    /// Returns `true` if `node` is currently alive.
-    pub fn contains(&self, node: NodeId) -> bool {
-        let (shard, local) = self.locate(node);
-        self.shards[shard].nodes.contains(local)
-    }
-
-    /// Identifiers of all live nodes, in ascending id order.
-    ///
-    /// The list is cached and invalidated on membership changes; a rebuild walks the
-    /// stripes in lockstep (shard `s` stores id `local * stride + s` at slot `local`), so
-    /// ascending order falls out of the traversal and no sort is needed. This method still
-    /// clones the cached list for API compatibility; use
-    /// [`node_ids_ref`](Self::node_ids_ref) to borrow it copy-free.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        self.node_ids_ref().to_vec()
-    }
-
-    /// Borrows the cached ascending id list without copying it.
+    /// Borrows the ascending list of live ids, rebuilding it first if a membership change
+    /// invalidated it. A rebuild walks the stripes in lockstep (shard `s` stores id
+    /// `local * stride + s` at slot `local`), so ascending order falls out of the
+    /// traversal and no sort is needed.
     ///
     /// The borrow is released when the returned guard drops; membership changes require
     /// `&mut self`, so the guard cannot observe a stale list.
-    pub fn node_ids_ref(&self) -> std::cell::Ref<'_, [NodeId]> {
+    fn node_ids_ref(&self) -> std::cell::Ref<'_, [NodeId]> {
         if !self.node_ids_valid.get() {
             let mut ids = self.cached_node_ids.borrow_mut();
             ids.clear();
@@ -555,103 +400,6 @@ where
         std::cell::Ref::map(self.cached_node_ids.borrow(), Vec::as_slice)
     }
 
-    /// Shared access to the protocol instance of `node`.
-    pub fn node(&self, node: NodeId) -> Option<&P> {
-        let (shard, local) = self.locate(node);
-        self.shards[shard].nodes.get(local).map(|s| &s.proto)
-    }
-
-    /// Exclusive access to the protocol instance of `node`.
-    pub fn node_mut(&mut self, node: NodeId) -> Option<&mut P> {
-        let (shard, local) = self.locate(node);
-        self.shards[shard]
-            .nodes
-            .get_mut(local)
-            .map(|s| &mut s.proto)
-    }
-
-    /// Iterates over `(id, protocol)` pairs of all live nodes, shard by shard.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.nodes.iter().map(|(_, st)| (st.id, &st.proto)))
-    }
-
-    /// The time at which `node` joined the simulation.
-    pub fn joined_at(&self, node: NodeId) -> Option<SimTime> {
-        let (shard, local) = self.locate(node);
-        self.shards[shard].nodes.get(local).map(|s| s.joined_at)
-    }
-
-    /// Adds a node running `proto`, invoking its [`Protocol::on_start`] callback and
-    /// scheduling its periodic rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node with the same identifier is already present.
-    pub fn add_node(&mut self, id: NodeId, proto: P) {
-        let (shard_idx, local) = self.locate(id);
-        assert!(
-            !self.shards[shard_idx].nodes.contains(local),
-            "node {id} is already part of the simulation"
-        );
-        self.filter.on_node_added(id);
-        let seed = self.cfg.seed;
-        let state = NodeState {
-            id,
-            proto,
-            rng: seed.node_rng(id),
-            net_rng: seed.node_stream_rng(id, Stream::Latency),
-            sched_rng: seed.node_stream_rng(id, Stream::Scheduling),
-            joined_at: self.now,
-            msg_seq: 0,
-        };
-        self.shards[shard_idx].nodes.insert(local, state);
-        self.node_ids_valid.set(false);
-        let now = self.now;
-        let cfg = self.cfg;
-        {
-            let env = PhaseEnv {
-                cfg: &cfg,
-                bootstrap: &self.bootstrap,
-                latency: self.latency.as_ref(),
-                loss: self.loss.as_ref(),
-            };
-            self.shards[shard_idx].execute(local, now, &env, |proto, ctx| proto.on_start(ctx));
-        }
-        // `on_start`'s messages landed in the joining node's shard outboxes; merge them
-        // immediately so they are delivered like any other send. The outboxes are
-        // bucketed by destination, so concatenation interleaves the node's sequence
-        // numbers — restore the canonical order with an explicit (tiny) sort.
-        let mut batch = std::mem::take(&mut self.merge_buf);
-        for outbox in &mut self.shards[shard_idx].outboxes {
-            batch.append(outbox);
-        }
-        batch.sort_unstable_by_key(|m| (m.sent_at, m.from, m.seq));
-        self.merge_batch(&mut batch, now);
-        self.merge_buf = batch;
-        let shard = &mut self.shards[shard_idx];
-        let state = shard.nodes.get_mut(local).expect("node just inserted");
-        let phase = if cfg.random_phase {
-            let period_ms = cfg.round_period.as_millis().max(1);
-            SimDuration::from_millis(state.sched_rng.gen_range(0..period_ms))
-        } else {
-            cfg.round_period
-        };
-        shard.queue.schedule(now + phase, Event::Round { node: id });
-    }
-
-    /// Removes a node (crash or departure), returning its protocol state. In-flight
-    /// messages addressed to the node are dropped when their delivery fires.
-    pub fn remove_node(&mut self, id: NodeId) -> Option<P> {
-        let (shard, local) = self.locate(id);
-        let state = self.shards[shard].nodes.remove(local)?;
-        self.node_ids_valid.set(false);
-        self.bootstrap.unregister(id);
-        self.filter.on_node_removed(id);
-        Some(state.proto)
-    }
-
     fn period_ms(&self) -> u64 {
         self.cfg.round_period.as_millis().max(1)
     }
@@ -659,40 +407,6 @@ where
     /// End of phase `p`, i.e. the instant `(p + 1) * round_period`.
     fn phase_end(&self, phase: u64) -> SimTime {
         SimTime::from_millis(self.period_ms().saturating_mul(phase + 1))
-    }
-
-    /// Runs the simulation until the virtual clock reaches `deadline`, executing every
-    /// phase whose window closes at or before it.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            let window_end = self.phase_end(self.next_phase);
-            if window_end > deadline {
-                break;
-            }
-            if self.hook.is_none() && self.shards.iter().all(|s| s.queue.is_empty()) {
-                // Nothing queued anywhere (and rounds self-perpetuate, so nothing ever
-                // will be until a node is added): skip ahead instead of spinning phases.
-                // With a hook installed the phases must still run one by one, because
-                // every barrier owes the hook a callback.
-                self.next_phase = deadline.as_millis() / self.period_ms();
-                break;
-            }
-            self.run_one_phase();
-        }
-        if deadline > self.now {
-            self.now = deadline;
-        }
-    }
-
-    /// Runs the simulation for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.now + span;
-        self.run_until(deadline);
-    }
-
-    /// Runs the simulation for `rounds` gossip periods from the current instant.
-    pub fn run_for_rounds(&mut self, rounds: u64) {
-        self.run_for(self.cfg.round_period.saturating_mul(rounds));
     }
 
     /// Executes one phase: all shards in parallel, then the barrier merge.
@@ -880,26 +594,6 @@ where
 /// outcomes: both paths insert identical per-queue sequences.
 const PARALLEL_INSERT_THRESHOLD: usize = 4096;
 
-impl<P: PssNode + Send> ShardedSimulation<P>
-where
-    P::Message: Send,
-{
-    /// Draws a peer sample from `node` using the node's own random stream, following the
-    /// protocol's sampling rule.
-    pub fn sample_from(&mut self, node: NodeId) -> Option<NodeId> {
-        let (shard, local) = self.locate(node);
-        let state = self.shards[shard].nodes.get_mut(local)?;
-        state.proto.draw_sample(&mut state.rng)
-    }
-
-    /// Installs a [`RoundHook`] like [`set_round_hook`](Self::set_round_hook) and captures
-    /// the protocol's sampling rule so the hook's [`HookOps::draw_sample`] calls work.
-    pub fn set_sampled_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        self.set_round_hook(hook);
-        self.hook_sampler = Some(P::draw_sample);
-    }
-}
-
 impl<P: Protocol + Send> HookOps for ShardedSimulation<P>
 where
     P::Message: Send,
@@ -935,76 +629,191 @@ impl<P: Protocol + Send> SimulationEngine<P> for ShardedSimulation<P>
 where
     P::Message: Send,
 {
+    /// Creates a sharded engine with `cfg.engine_threads` worker shards (at least one), a
+    /// King-like latency model, no message loss and no NAT filtering.
     fn from_config(cfg: SimulationConfig) -> Self {
-        ShardedSimulation::new(cfg)
+        let workers = cfg.engine_threads.max(1);
+        ShardedSimulation {
+            cfg,
+            now: SimTime::ZERO,
+            next_phase: 0,
+            shards: (0..workers).map(|_| Shard::new(workers as u64)).collect(),
+            latency: Box::new(KingLatencyModel::new()),
+            loss: Box::new(NoLoss),
+            filter: Box::new(OpenInternet),
+            bootstrap: BootstrapRegistry::new(),
+            barrier_traffic: TrafficLedger::new(),
+            barrier_stats: NetworkStats::default(),
+            merge_buf: Vec::new(),
+            heap_buf: Vec::new(),
+            delivery_bufs: (0..workers).map(|_| Vec::new()).collect(),
+            cached_node_ids: RefCell::new(Vec::new()),
+            node_ids_valid: Cell::new(false),
+            hook: None,
+            hook_sampler: None,
+            faults: None,
+        }
     }
 
+    /// Workers sample the model concurrently through [`LatencyModel::sample_shared`].
     fn set_latency_model<L: LatencyModel + Send + Sync + 'static>(&mut self, model: L) {
-        ShardedSimulation::set_latency_model(self, model);
+        self.latency = Box::new(model);
     }
 
+    /// Workers consult the model concurrently through [`LossModel::drops_shared`].
     fn set_loss_model<L: LossModel + Send + Sync + 'static>(&mut self, model: L) {
-        ShardedSimulation::set_loss_model(self, model);
+        self.loss = Box::new(model);
     }
 
+    /// The filter runs on the coordinating thread only, at the round barriers, in the
+    /// canonical merge order.
     fn set_delivery_filter<D: DeliveryFilter + 'static>(&mut self, filter: D) {
-        ShardedSimulation::set_delivery_filter(self, filter);
+        self.filter = Box::new(filter);
     }
 
+    /// The hook runs on the coordinating thread after each phase's canonical cross-shard
+    /// merge. Phases that already ran never replay their barriers.
     fn set_round_hook(&mut self, hook: Box<dyn RoundHook>) {
-        ShardedSimulation::set_round_hook(self, hook);
+        self.hook = Some(hook);
+        self.hook_sampler = None;
     }
 
     fn set_sampled_round_hook(&mut self, hook: Box<dyn RoundHook>)
     where
         P: PssNode,
     {
-        ShardedSimulation::set_sampled_round_hook(self, hook);
+        self.set_round_hook(hook);
+        self.hook_sampler = Some(P::draw_sample);
     }
 
+    /// The plane judges each message during the barrier's sequential canonical-order
+    /// pass, which keeps fault injection bit-identical across worker counts.
     fn set_fault_plane(&mut self, plane: FaultPlane) {
-        ShardedSimulation::set_fault_plane(self, plane);
+        self.faults = Some(plane);
     }
 
     fn fault_report(&self) -> FaultReport {
-        ShardedSimulation::fault_report(self)
+        self.faults
+            .as_ref()
+            .map(FaultPlane::report)
+            .unwrap_or_default()
     }
 
     fn config(&self) -> &SimulationConfig {
-        ShardedSimulation::config(self)
+        &self.cfg
     }
 
     fn now(&self) -> SimTime {
-        ShardedSimulation::now(self)
+        self.now
     }
 
     fn len(&self) -> usize {
-        ShardedSimulation::len(self)
+        self.shards.iter().map(|s| s.nodes.len()).sum()
     }
 
     fn contains(&self, node: NodeId) -> bool {
-        ShardedSimulation::contains(self, node)
+        let (shard, local) = self.locate(node);
+        self.shards[shard].nodes.contains(local)
+    }
+
+    fn node(&self, node: NodeId) -> Option<&P> {
+        let (shard, local) = self.locate(node);
+        self.shards[shard].nodes.get(local).map(|s| &s.proto)
+    }
+
+    /// Walks the shards one after another, each in ascending local-slot order.
+    fn nodes<'a>(&'a self) -> impl Iterator<Item = (NodeId, &'a P)>
+    where
+        P: 'a,
+    {
+        self.shards
+            .iter()
+            .flat_map(|s| s.nodes.iter().map(|(_, st)| (st.id, &st.proto)))
     }
 
     fn register_public(&mut self, node: NodeId) {
-        ShardedSimulation::register_public(self, node);
+        self.bootstrap.register(node);
     }
 
     fn add_node(&mut self, id: NodeId, proto: P) {
-        ShardedSimulation::add_node(self, id, proto);
+        let (shard_idx, local) = self.locate(id);
+        assert!(
+            !self.shards[shard_idx].nodes.contains(local),
+            "node {id} is already part of the simulation"
+        );
+        self.filter.on_node_added(id);
+        let seed = self.cfg.seed;
+        let state = NodeState {
+            id,
+            proto,
+            rng: seed.node_rng(id),
+            net_rng: seed.node_stream_rng(id, Stream::Latency),
+            sched_rng: seed.node_stream_rng(id, Stream::Scheduling),
+            msg_seq: 0,
+        };
+        self.shards[shard_idx].nodes.insert(local, state);
+        self.node_ids_valid.set(false);
+        let now = self.now;
+        let cfg = self.cfg;
+        {
+            let env = PhaseEnv {
+                cfg: &cfg,
+                bootstrap: &self.bootstrap,
+                latency: self.latency.as_ref(),
+                loss: self.loss.as_ref(),
+            };
+            self.shards[shard_idx].execute(local, now, &env, |proto, ctx| proto.on_start(ctx));
+        }
+        // `on_start`'s messages landed in the joining node's shard outboxes; merge them
+        // immediately so they are delivered like any other send. The outboxes are
+        // bucketed by destination, so concatenation interleaves the node's sequence
+        // numbers — restore the canonical order with an explicit (tiny) sort.
+        let mut batch = std::mem::take(&mut self.merge_buf);
+        for outbox in &mut self.shards[shard_idx].outboxes {
+            batch.append(outbox);
+        }
+        batch.sort_unstable_by_key(|m| (m.sent_at, m.from, m.seq));
+        self.merge_batch(&mut batch, now);
+        self.merge_buf = batch;
+        let shard = &mut self.shards[shard_idx];
+        let state = shard.nodes.get_mut(local).expect("node just inserted");
+        let phase = if cfg.random_phase {
+            let period_ms = cfg.round_period.as_millis().max(1);
+            SimDuration::from_millis(state.sched_rng.gen_range(0..period_ms))
+        } else {
+            cfg.round_period
+        };
+        shard.queue.schedule(now + phase, Event::Round { node: id });
     }
 
     fn remove_node(&mut self, id: NodeId) -> Option<P> {
-        ShardedSimulation::remove_node(self, id)
+        let (shard, local) = self.locate(id);
+        let state = self.shards[shard].nodes.remove(local)?;
+        self.node_ids_valid.set(false);
+        self.bootstrap.unregister(id);
+        self.filter.on_node_removed(id);
+        Some(state.proto)
     }
 
+    /// Executes every phase whose window closes at or before `deadline`.
     fn run_until(&mut self, deadline: SimTime) {
-        ShardedSimulation::run_until(self, deadline);
-    }
-
-    fn for_each_node(&self, f: &mut dyn FnMut(NodeId, &P)) {
-        for (id, proto) in self.nodes() {
-            f(id, proto);
+        loop {
+            let window_end = self.phase_end(self.next_phase);
+            if window_end > deadline {
+                break;
+            }
+            if self.hook.is_none() && self.shards.iter().all(|s| s.queue.is_empty()) {
+                // Nothing queued anywhere (and rounds self-perpetuate, so nothing ever
+                // will be until a node is added): skip ahead instead of spinning phases.
+                // With a hook installed the phases must still run one by one, because
+                // every barrier owes the hook a callback.
+                self.next_phase = deadline.as_millis() / self.period_ms();
+                break;
+            }
+            self.run_one_phase();
+        }
+        if deadline > self.now {
+            self.now = deadline;
         }
     }
 
@@ -1026,120 +835,69 @@ where
     }
 
     fn network_stats(&self) -> NetworkStats {
-        ShardedSimulation::network_stats(self)
+        let mut stats = self.barrier_stats;
+        for shard in &self.shards {
+            stats.merge(shard.stats);
+        }
+        stats
     }
 
+    /// Merges the barrier-side sender counters and every shard's receiver counters.
     fn traffic_snapshot(&self) -> TrafficLedger {
-        ShardedSimulation::traffic_snapshot(self)
+        let mut merged = TrafficLedger::new();
+        self.traffic_snapshot_into(&mut merged);
+        merged
     }
 
     fn traffic_snapshot_into(&self, out: &mut TrafficLedger) {
-        ShardedSimulation::traffic_snapshot_into(self, out);
+        out.reset_window(self.barrier_traffic.window_start());
+        out.merge_from(&self.barrier_traffic);
+        for shard in &self.shards {
+            out.merge_from(&shard.traffic);
+        }
     }
 
     fn reset_traffic_window(&mut self) {
-        ShardedSimulation::reset_traffic_window(self);
+        let now = self.now;
+        self.barrier_traffic.reset_window(now);
+        for shard in &mut self.shards {
+            shard.traffic.reset_window(now);
+        }
     }
 
     fn draw_sample(&mut self, node: NodeId) -> Option<NodeId>
     where
         P: PssNode,
     {
-        self.sample_from(node)
+        let (shard, local) = self.locate(node);
+        let state = self.shards[shard].nodes.get_mut(local)?;
+        state.proto.draw_sample(&mut state.rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conformance::{engine_conformance_tests, record_barriers, Probe};
     use crate::latency::ConstantLatency;
     use crate::loss::BernoulliLoss;
-    use crate::protocol::TimerKey;
-    use crate::types::NatClass;
 
-    /// Test protocol: each round, sends its round counter to the next node in a ring.
-    struct Ring {
-        n: u64,
-        rounds: u64,
-        received: Vec<(NodeId, u32)>,
-        timer_fired: bool,
+    engine_conformance_tests!(ShardedSimulation<Probe>, [1, 2]);
+
+    /// Node `i` of an `n`-node ring, sending to its successor.
+    fn ring_node(i: u64, n: u64) -> Probe {
+        Probe::new(Some(NodeId::new((i + 1) % n)))
     }
 
-    impl Ring {
-        fn new(n: u64) -> Self {
-            Ring {
-                n,
-                rounds: 0,
-                received: Vec::new(),
-                timer_fired: false,
-            }
-        }
-    }
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct Counter(u32);
-
-    impl WireSize for Counter {
-        fn wire_size(&self) -> usize {
-            100
-        }
-    }
-
-    impl Protocol for Ring {
-        type Message = Counter;
-
-        fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-            ctx.set_timer(SimDuration::from_millis(10), TimerKey::new(1));
-        }
-
-        fn on_round(&mut self, ctx: &mut Context<'_, Self::Message>) {
-            self.rounds += 1;
-            let next = NodeId::new((ctx.node_id().as_u64() + 1) % self.n);
-            ctx.send(next, Counter(self.rounds as u32));
-        }
-
-        fn on_message(
-            &mut self,
-            from: NodeId,
-            msg: Self::Message,
-            _ctx: &mut Context<'_, Self::Message>,
-        ) {
-            self.received.push((from, msg.0));
-        }
-
-        fn on_timer(&mut self, key: TimerKey, _ctx: &mut Context<'_, Self::Message>) {
-            assert_eq!(key, TimerKey::new(1));
-            self.timer_fired = true;
-        }
-    }
-
-    impl PssNode for Ring {
-        fn nat_class(&self) -> NatClass {
-            NatClass::Public
-        }
-
-        fn known_peers(&self) -> Vec<NodeId> {
-            self.received.iter().map(|(from, _)| *from).collect()
-        }
-
-        fn draw_sample(&mut self, _rng: &mut SmallRng) -> Option<NodeId> {
-            self.received.last().map(|(from, _)| *from)
-        }
-
-        fn rounds_executed(&self) -> u64 {
-            self.rounds
-        }
-    }
-
-    fn ring_sim(n: u64, threads: usize) -> ShardedSimulation<Ring> {
-        let mut sim = ShardedSimulation::new(
+    fn ring_sim(n: u64, threads: usize) -> ShardedSimulation<Probe> {
+        let mut sim = ShardedSimulation::from_config(
             SimulationConfig::default()
                 .with_seed(11)
                 .with_engine_threads(threads),
         );
         sim.set_latency_model(ConstantLatency::new(SimDuration::from_millis(10)));
         for i in 0..n {
-            sim.add_node(NodeId::new(i), Ring::new(n));
+            sim.add_node(NodeId::new(i), ring_node(i, n));
         }
         sim
     }
@@ -1150,7 +908,7 @@ mod tests {
     /// Everything observable about a run, for bit-identity comparisons.
     type Fingerprint = (Vec<NodeTrace>, NetworkStats, TrafficLedger);
 
-    fn fingerprint(sim: &ShardedSimulation<Ring>) -> Fingerprint {
+    fn fingerprint(sim: &ShardedSimulation<Probe>) -> Fingerprint {
         let mut nodes: Vec<NodeTrace> = sim
             .nodes()
             .map(|(id, p)| (id.as_u64(), p.rounds, p.received.clone()))
@@ -1243,8 +1001,8 @@ mod tests {
                 12,
                 "removals leave vacant slots; the bound must not shrink"
             );
-            sim.add_node(NodeId::new(7), Ring::new(12)); // reuses the vacant slot
-            sim.add_node(NodeId::new(12), Ring::new(12)); // grows the id space
+            sim.add_node(NodeId::new(7), ring_node(7, 12)); // reuses the vacant slot
+            sim.add_node(NodeId::new(12), ring_node(12, 12)); // grows the id space
             sim.run_for_rounds(2);
             sim.node_id_upper_bound()
         };
@@ -1256,14 +1014,14 @@ mod tests {
     #[test]
     fn bit_identity_holds_with_default_king_latency_and_loss() {
         let run = |threads: usize| {
-            let mut sim = ShardedSimulation::new(
+            let mut sim = ShardedSimulation::from_config(
                 SimulationConfig::default()
                     .with_seed(23)
                     .with_engine_threads(threads),
             );
             sim.set_loss_model(BernoulliLoss::new(0.2));
             for i in 0..10 {
-                sim.add_node(NodeId::new(i), Ring::new(10));
+                sim.add_node(NodeId::new(i), ring_node(i, 10));
             }
             sim.run_for_rounds(20);
             fingerprint(&sim)
@@ -1272,17 +1030,6 @@ mod tests {
         let b = run(3);
         assert_eq!(a, b);
         assert!(a.1.lost > 0, "a 20% loss model should drop something");
-    }
-
-    #[test]
-    fn traffic_ledger_accounts_bytes() {
-        let mut sim = ring_sim(4, 2);
-        sim.run_for_rounds(10);
-        let ledger = sim.traffic_snapshot();
-        let t = ledger.node_or_default(NodeId::new(1));
-        assert!(t.bytes_sent >= 800, "ten rounds of 100-byte sends: {t:?}");
-        assert!(t.bytes_received > 0);
-        assert_eq!(ledger.total_bytes_sent() % 100, 0);
     }
 
     #[test]
@@ -1297,127 +1044,12 @@ mod tests {
     }
 
     #[test]
-    fn removed_node_stops_receiving_and_counts_as_gone() {
-        let mut sim = ring_sim(4, 2);
-        sim.run_for_rounds(3);
-        assert!(sim.remove_node(NodeId::new(2)).is_some());
-        assert!(!sim.contains(NodeId::new(2)));
-        assert_eq!(sim.len(), 3);
-        sim.run_for_rounds(5);
-        assert!(sim.network_stats().destination_gone > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already part of the simulation")]
-    fn duplicate_node_panics() {
-        let mut sim = ring_sim(3, 2);
-        sim.add_node(NodeId::new(1), Ring::new(3));
-    }
-
-    #[test]
-    fn run_until_advances_clock_even_without_events() {
-        let mut sim: ShardedSimulation<Ring> =
-            ShardedSimulation::new(SimulationConfig::default().with_engine_threads(2));
-        sim.run_until(SimTime::from_secs(42));
-        assert_eq!(sim.now(), SimTime::from_secs(42));
-    }
-
-    #[test]
-    fn sample_from_uses_protocol_rule() {
-        let mut sim = ring_sim(4, 2);
-        sim.run_for_rounds(5);
-        assert!(sim.sample_from(NodeId::new(1)).is_some());
-        assert_eq!(sim.sample_from(NodeId::new(99)), None);
-    }
-
-    #[test]
-    fn joined_at_records_join_time() {
-        let mut sim = ring_sim(3, 2);
-        sim.run_until(SimTime::from_secs(3));
-        sim.add_node(NodeId::new(7), Ring::new(3));
-        assert_eq!(sim.joined_at(NodeId::new(7)), Some(SimTime::from_secs(3)));
-        assert_eq!(sim.joined_at(NodeId::new(1)), Some(SimTime::ZERO));
-    }
-
-    use std::rc::Rc;
-
-    /// Records every barrier the engine hands to the hook.
-    struct Recorder(Rc<RefCell<Vec<(u64, SimTime)>>>);
-
-    impl RoundHook for Recorder {
-        fn on_round_barrier(&mut self, round: u64, now: SimTime) {
-            self.0.borrow_mut().push((round, now));
-        }
-    }
-
-    #[test]
-    fn round_hook_fires_once_per_phase_barrier() {
-        let mut sim = ring_sim(8, 2);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        sim.set_round_hook(Box::new(Recorder(Rc::clone(&log))));
-        sim.run_for_rounds(3);
-        let now = sim.now();
-        sim.run_until(now); // a no-op window must not re-fire barriers
-        sim.run_for_rounds(2);
-        let fired = log.borrow().clone();
-        let expected: Vec<(u64, SimTime)> = (1..=5).map(|n| (n, SimTime::from_secs(n))).collect();
-        assert_eq!(fired, expected);
-    }
-
-    /// Draws one sample from node 0 per barrier and logs it.
-    struct DrawProbe(Rc<RefCell<Vec<Option<NodeId>>>>);
-
-    impl RoundHook for DrawProbe {
-        fn on_round_barrier(&mut self, _round: u64, _now: SimTime) {}
-
-        fn on_round_barrier_with(&mut self, _round: u64, _now: SimTime, ops: &mut dyn HookOps) {
-            self.0.borrow_mut().push(ops.draw_sample(NodeId::new(0)));
-        }
-    }
-
-    #[test]
-    fn sampled_hook_draws_through_the_protocol_rule_and_plain_hook_does_not() {
-        // Ring's sampling rule returns the most recent sender; after a couple of rounds
-        // node 0's is its ring predecessor.
-        let mut sim = ring_sim(4, 2);
-        let draws = Rc::new(RefCell::new(Vec::new()));
-        sim.set_sampled_round_hook(Box::new(DrawProbe(Rc::clone(&draws))));
-        sim.run_for_rounds(4);
-        assert_eq!(
-            draws.borrow().last(),
-            Some(&Some(NodeId::new(3))),
-            "the sampled installer must serve protocol-rule draws"
-        );
-        // Re-installing through the plain entry point must drop the sampling rule.
-        draws.borrow_mut().clear();
-        sim.set_round_hook(Box::new(DrawProbe(Rc::clone(&draws))));
-        sim.run_for_rounds(2);
-        assert_eq!(
-            draws.borrow().as_slice(),
-            &[None, None],
-            "set_round_hook must clear the captured sampler"
-        );
-    }
-
-    #[test]
-    fn round_hook_fires_even_with_empty_queues() {
-        let mut sim: ShardedSimulation<Ring> =
-            ShardedSimulation::new(SimulationConfig::default().with_engine_threads(3));
-        let log = Rc::new(RefCell::new(Vec::new()));
-        sim.set_round_hook(Box::new(Recorder(Rc::clone(&log))));
-        sim.run_until(SimTime::from_secs(4));
-        assert_eq!(log.borrow().len(), 4, "no events, but every barrier fires");
-        assert_eq!(sim.now(), SimTime::from_secs(4));
-    }
-
-    #[test]
     fn round_hook_runs_do_not_perturb_bit_identity() {
         // A hook that only observes must leave the run byte-for-byte unchanged, and the
         // barrier sequence itself must be identical across worker counts.
         let run = |threads: usize| {
             let mut sim = ring_sim(13, threads);
-            let log = Rc::new(RefCell::new(Vec::new()));
-            sim.set_round_hook(Box::new(Recorder(Rc::clone(&log))));
+            let log = record_barriers(&mut sim);
             sim.run_for_rounds(15);
             let barriers = log.borrow().clone();
             (fingerprint(&sim), barriers)
@@ -1438,18 +1070,23 @@ mod tests {
     #[test]
     fn node_ids_are_sorted_and_accessors_agree() {
         let mut sim = ring_sim(9, 4);
-        let ids = sim.node_ids();
+        let live_ids = |sim: &ShardedSimulation<Probe>| {
+            let mut ids = Vec::new();
+            sim.live_node_ids_into(&mut ids);
+            ids
+        };
+        let ids = live_ids(&sim);
         assert_eq!(ids.len(), 9);
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(&*sim.node_ids_ref(), ids.as_slice(), "borrowed = owned");
         assert!(sim.node(NodeId::new(5)).is_some());
-        assert_eq!(sim.num_shards(), 4);
+        assert_eq!(sim.shards.len(), 4);
         // The cache invalidates on membership changes, through either accessor.
         sim.remove_node(NodeId::new(5)).unwrap();
         assert_eq!(sim.node_ids_ref().len(), 8);
         assert!(!sim.node_ids_ref().contains(&NodeId::new(5)));
-        sim.add_node(NodeId::new(20), Ring::new(9));
-        assert_eq!(sim.node_ids().len(), 9);
+        sim.add_node(NodeId::new(20), ring_node(20, 9));
+        assert_eq!(live_ids(&sim).len(), 9);
         assert!(sim.node_ids_ref().contains(&NodeId::new(20)));
     }
 }

@@ -16,13 +16,13 @@
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_nat::NatTopologyBuilder;
 use croupier_suite::simulator::{
-    FaultPlane, NatClass, NodeId, Seed, ShardedSimulation, SimulationConfig,
+    FaultPlane, NatClass, NodeId, Seed, ShardedSimulation, SimulationConfig, SimulationEngine,
 };
 use std::time::Instant;
 
 fn build() -> ShardedSimulation<CroupierNode> {
     let topology = NatTopologyBuilder::new(0xE17).build();
-    let mut sim = ShardedSimulation::new(
+    let mut sim = ShardedSimulation::from_config(
         SimulationConfig::default()
             .with_seed(0xE17)
             .with_engine_threads(1),

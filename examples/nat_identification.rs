@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use croupier::{NatIdentificationConfig, NatIdentificationNode};
 use croupier_nat::{AddressInfo, FilteringPolicy, NatGatewayConfig, NatTopologyBuilder};
-use croupier_simulator::{NodeId, SimDuration, Simulation, SimulationConfig};
+use croupier_simulator::{NodeId, SimDuration, Simulation, SimulationConfig, SimulationEngine};
 
 /// A named gateway profile: the label printed per row and the topology setup for the node
 /// under test.
@@ -19,7 +19,7 @@ type GatewayProfile<'a> = (&'a str, Box<dyn Fn(NodeId) + 'a>);
 fn main() {
     let topology = NatTopologyBuilder::new(7).build();
     let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
-    let mut sim = Simulation::new(SimulationConfig::default().with_seed(7));
+    let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(7));
     sim.set_delivery_filter(topology.clone());
 
     // A handful of already-joined public nodes play the helper role.

@@ -7,7 +7,9 @@
 
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_nat::NatTopologyBuilder;
-use croupier_simulator::{NatClass, NodeId, PssNode, Simulation, SimulationConfig};
+use croupier_simulator::{
+    NatClass, NodeId, PssNode, Simulation, SimulationConfig, SimulationEngine,
+};
 
 fn main() {
     // 20 % of the nodes are publicly reachable, the rest sit behind NATs — the ratio the
@@ -16,7 +18,7 @@ fn main() {
     let n_private = 80u64;
 
     let topology = NatTopologyBuilder::new(42).build();
-    let mut sim = Simulation::new(SimulationConfig::default().with_seed(42));
+    let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(42));
     sim.set_delivery_filter(topology.clone());
 
     for i in 0..(n_public + n_private) {
@@ -64,7 +66,7 @@ fn main() {
 
     print!("ten peer samples drawn by node {witness}: ");
     for _ in 0..10 {
-        if let Some(sample) = sim.sample_from(witness) {
+        if let Some(sample) = sim.draw_sample(witness) {
             print!("{sample} ");
         }
     }

@@ -12,7 +12,7 @@
 use croupier::{CroupierConfig, CroupierNode};
 use croupier_nat::NatTopologyBuilder;
 use croupier_simulator::{
-    NatClass, NodeId, PssNode, ShardedSimulation, SimulationConfig, TrafficLedger,
+    NatClass, NodeId, PssNode, ShardedSimulation, SimulationConfig, SimulationEngine, TrafficLedger,
 };
 
 fn run(
@@ -21,7 +21,7 @@ fn run(
     rounds: u64,
 ) -> (ShardedSimulation<CroupierNode>, TrafficLedger) {
     let topology = NatTopologyBuilder::new(7).build();
-    let mut sim = ShardedSimulation::new(
+    let mut sim = ShardedSimulation::from_config(
         SimulationConfig::default()
             .with_seed(7)
             .with_engine_threads(threads),

@@ -35,6 +35,7 @@ use croupier_simulator::latency::ConstantLatency;
 use croupier_simulator::scheduler::EventQueue;
 use croupier_simulator::{
     NatClass, NodeId, ShardedSimulation, SimDuration, SimTime, Simulation, SimulationConfig,
+    SimulationEngine,
 };
 
 /// Delegates to the system allocator while counting allocations made by this thread.
@@ -105,7 +106,7 @@ fn periodic_config(threads: usize) -> SimulationConfig {
 
 fn populate<E>(sim: &mut E)
 where
-    E: croupier_simulator::SimulationEngine<CroupierNode>,
+    E: SimulationEngine<CroupierNode>,
 {
     for i in 0..NODES {
         let id = NodeId::new(i);
@@ -119,7 +120,7 @@ where
 
 #[test]
 fn sharded_engine_steady_state_round_allocates_nothing() {
-    let mut sim = ShardedSimulation::new(periodic_config(1));
+    let mut sim = ShardedSimulation::from_config(periodic_config(1));
     sim.set_latency_model(ConstantLatency::new(SimDuration::from_millis(150)));
     populate(&mut sim);
     sim.run_for_rounds(WARMUP_ROUNDS);
@@ -141,7 +142,7 @@ fn sharded_engine_steady_state_round_allocates_nothing() {
 
 #[test]
 fn event_engine_steady_state_round_allocates_nothing() {
-    let mut sim = Simulation::new(periodic_config(1));
+    let mut sim = Simulation::from_config(periodic_config(1));
     sim.set_latency_model(ConstantLatency::new(SimDuration::from_millis(150)));
     populate(&mut sim);
     sim.run_for_rounds(WARMUP_ROUNDS);
@@ -168,7 +169,7 @@ fn event_engine_steady_state_round_allocates_nothing() {
 /// doublings at most.
 #[test]
 fn realistic_config_allocation_tail_is_amortised() {
-    let mut sim = ShardedSimulation::new(
+    let mut sim = ShardedSimulation::from_config(
         SimulationConfig::default()
             .with_seed(0xA110C)
             .with_engine_threads(1),

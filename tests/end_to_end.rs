@@ -10,7 +10,7 @@ use croupier_suite::croupier::{
 };
 use croupier_suite::nat::{AddressInfo, FilteringPolicy, NatTopologyBuilder};
 use croupier_suite::simulator::{
-    NatClass, NodeId, PssNode, SimDuration, Simulation, SimulationConfig,
+    NatClass, NodeId, PssNode, SimDuration, Simulation, SimulationConfig, SimulationEngine,
 };
 
 const N_PUBLIC: u64 = 10;
@@ -29,7 +29,7 @@ fn nat_identification_then_peer_sampling() {
         .build();
     let info: Arc<dyn AddressInfo + Send + Sync> = Arc::new(topology.clone());
 
-    let mut ident_sim = Simulation::new(SimulationConfig::default().with_seed(0xE2E));
+    let mut ident_sim = Simulation::from_config(SimulationConfig::default().with_seed(0xE2E));
     ident_sim.set_delivery_filter(topology.clone());
 
     let total = N_PUBLIC + N_PRIVATE + N_UPNP;
@@ -77,7 +77,7 @@ fn nat_identification_then_peer_sampling() {
     }
 
     // ---- Phase 2: run Croupier with the classes the nodes determined themselves. ----
-    let mut pss_sim = Simulation::new(SimulationConfig::default().with_seed(0x9A9));
+    let mut pss_sim = Simulation::from_config(SimulationConfig::default().with_seed(0x9A9));
     pss_sim.set_delivery_filter(topology.clone());
     for (id, class) in &classified {
         if class.is_public() {
@@ -102,7 +102,7 @@ fn nat_identification_then_peer_sampling() {
             .ratio_estimate()
             .expect("every node estimates the ratio");
         worst_error = worst_error.max((estimate - true_ratio).abs());
-        if let Some(sample) = pss_sim.sample_from(*id) {
+        if let Some(sample) = pss_sim.draw_sample(*id) {
             if pss_sim.node(sample).map(|n| n.nat_class()) == Some(NatClass::Private) {
                 sampled_private += 1;
             }

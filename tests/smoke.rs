@@ -6,7 +6,9 @@
 use croupier_suite::croupier::{CroupierConfig, CroupierNode};
 use croupier_suite::metrics::{largest_component_fraction, OverlaySnapshot};
 use croupier_suite::nat::NatTopologyBuilder;
-use croupier_suite::simulator::{NatClass, NodeId, PssNode, Simulation, SimulationConfig};
+use croupier_suite::simulator::{
+    NatClass, NodeId, PssNode, Simulation, SimulationConfig, SimulationEngine,
+};
 
 const N_PUBLIC: u64 = 13;
 const N_PRIVATE: u64 = 51;
@@ -14,7 +16,7 @@ const ROUNDS: u64 = 40;
 
 fn run_small_croupier() -> Simulation<CroupierNode> {
     let topology = NatTopologyBuilder::new(64).build();
-    let mut sim = Simulation::new(SimulationConfig::default().with_seed(64));
+    let mut sim = Simulation::from_config(SimulationConfig::default().with_seed(64));
     sim.set_delivery_filter(topology.clone());
     for i in 0..(N_PUBLIC + N_PRIVATE) {
         let id = NodeId::new(i);
@@ -80,7 +82,7 @@ fn tiny_croupier_simulation_estimates_the_ratio_and_samples_peers() {
     let witness = NodeId::new(N_PUBLIC + 1);
     let mut drawn = std::collections::HashSet::new();
     for _ in 0..20 {
-        if let Some(sample) = sim.sample_from(witness) {
+        if let Some(sample) = sim.draw_sample(witness) {
             assert_ne!(sample, witness, "a node must not sample itself");
             drawn.insert(sample);
         }

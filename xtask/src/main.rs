@@ -25,8 +25,8 @@
 //!   floor. Targets listed in `ROOT_MIRRORED_TARGETS` also refresh their repo-root
 //!   `BENCH_<target>.json` mirror, keeping the documented numbers in sync.
 //!
-//! * `scenario-matrix` — runs the NAT-dynamics scenario matrix (the CI `scenario-matrix`
-//!   job): a thin wrapper around `cargo run --release -p croupier-experiments --bin
+//! * `scenario-matrix` — runs the NAT-dynamics scenario matrix (the CI scenario-matrix
+//!   gate): a thin wrapper around `cargo run --release -p croupier-experiments --bin
 //!   scenario_matrix`, forwarding every argument.
 //!
 //!   ```text
@@ -34,7 +34,7 @@
 //!   ```
 //!
 //! * `workload-matrix` — runs the streaming-dissemination workload tier (the CI
-//!   `workload-matrix` job) the same way, wrapping the `workload_matrix` binary:
+//!   workload-matrix gate) the same way, wrapping the `workload_matrix` binary:
 //!
 //!   ```text
 //!   cargo run -p xtask -- workload-matrix --scale quick --out target/workload-json
@@ -847,7 +847,7 @@ const CI_STEPS: [&str; 10] = [
 
 /// The clean-network scenarios the `scenario-matrix` step runs; the fault tier runs
 /// separately under `fault-matrix` so the two gates fail independently (mirroring the
-/// split CI jobs).
+/// separate legs of the CI `matrix-gates` job).
 const CLEAN_SCENARIOS: &str = "reboot_storm,mobility_wave,nat_flux,flash_crowd,\
                                regional_outage,croupier_stress,symmetric_shift,cgn_migration";
 
