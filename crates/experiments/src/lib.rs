@@ -20,10 +20,10 @@
 //!   Nylon) behind a common [`ProtocolKind`] switch.
 //! * [`output`] — figure/series containers and table rendering.
 //! * [`figures`] — one module per paper figure.
-//! * [`matrix`] — the scenario-matrix runner: canned NAT-dynamics scripts × protocols,
-//!   with per-scenario JSON reports and a connectivity-recovery gate (the `scenario_matrix`
-//!   binary and the CI scenario-matrix gate drive it), plus the workload tier (the
-//!   `workload_matrix` binary and the CI workload-matrix gate).
+//! * [`matrix`] — the scenario-matrix runner: canned NAT-dynamics and fault scripts ×
+//!   protocols, with per-scenario JSON reports and their gates, plus the workload tier's
+//!   delivery SLOs. The `matrix` binary (`cargo run --release -p xtask -- matrix`, the
+//!   CI matrix gate) drives both.
 //! * [`workload`] — the streaming-dissemination workload engine: publishers, sampled
 //!   push/pull chunk transfer through the NAT filter and fault plane, the per-chunk
 //!   delivery tracker and its SLO gates (`DESIGN.md` §16).

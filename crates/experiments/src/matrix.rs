@@ -9,15 +9,17 @@
 //! paper figures.
 //!
 //! One [`ScenarioReport`] per scenario (all protocol cells inside) serialises to the
-//! `SCENARIO_<name>.json` artifacts the CI scenario-matrix gate uploads; the gate is
-//! [`ScenarioReport::all_recovered`] — every protocol must end the run with its overlay
-//! connected again.
+//! `SCENARIO_<name>.json` artifacts the CI matrix gate uploads; its gates are
+//! [`ScenarioReport::gate_failures`] — every protocol must end the run with its overlay
+//! connected again, and on fault scripts croupier's in-degree balance must degrade no
+//! more than the best NAT-aware baseline's. The workload tier's
+//! [`WorkloadScenarioReport`] does the same for streaming delivery SLOs.
 
 use std::fmt::Write as _;
 
 use croupier_metrics::{indegree_gini, indegree_histogram, indegree_stats, IndegreeStats};
 
-use crate::output::{json_number, json_string, Scale};
+use crate::output::{Inline, JsonWriter, Scale};
 use crate::protocols::{run_kind, ProtocolConfigs, ProtocolKind};
 use crate::runner::{ExperimentParams, RoundSample};
 use crate::scenario::ScenarioScript;
@@ -62,8 +64,8 @@ const MATRIX_PAPER_ROUNDS: u64 = 120;
 pub struct CellReport {
     /// Protocol name (figure-legend spelling).
     pub protocol: String,
-    /// `true` when the final sample's largest component reaches
-    /// [`RECOVERY_THRESHOLD`] — the CI gate.
+    /// `true` when the final sample's largest component reaches the script's
+    /// [`recovery_threshold_for`] — the CI recovery gate.
     pub recovered: bool,
     /// Largest-component fraction at the final sample.
     pub final_largest_component: f64,
@@ -139,7 +141,7 @@ pub struct ScenarioReport {
 
 impl ScenarioReport {
     /// Returns `true` when every protocol ends the run with a connected overlay.
-    pub fn all_recovered(&self) -> bool {
+    fn all_recovered(&self) -> bool {
         self.cells.iter().all(|c| c.recovered)
     }
 
@@ -148,7 +150,7 @@ impl ScenarioReport {
     /// [`FAULT_GINI_MARGIN`] worse than the best NAT-aware baseline's degradation (gozar
     /// or nylon). Vacuously `true` for clean-network scenarios or when either side is
     /// absent from the protocol selection.
-    pub fn croupier_gini_ok(&self) -> bool {
+    fn croupier_gini_ok(&self) -> bool {
         if !self.fault_tier {
             return true;
         }
@@ -171,135 +173,73 @@ impl ScenarioReport {
         croupier <= best_baseline + FAULT_GINI_MARGIN
     }
 
-    /// The full CI gate for this scenario: recovery for every protocol, plus the
-    /// croupier in-degree Gini bound on fault-tier cells.
-    pub fn gates_pass(&self) -> bool {
-        self.all_recovered() && self.croupier_gini_ok()
+    /// The CI gate for this scenario: one message per failing gate — recovery for every
+    /// protocol, plus the croupier in-degree Gini bound on fault-tier cells. Empty when
+    /// the scenario passes.
+    pub fn gate_failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if !self.all_recovered() {
+            failures.push(format!(
+                "a protocol failed to recover connectivity in '{}'",
+                self.scenario
+            ));
+        }
+        if !self.croupier_gini_ok() {
+            failures.push(format!(
+                "croupier's in-degree Gini degraded more than the baselines' in '{}'",
+                self.scenario
+            ));
+        }
+        failures
     }
 
     /// Serialises the report as pretty-printed JSON (hand-emitted, like
     /// [`FigureData::to_json`](crate::output::FigureData::to_json), because the offline
     /// build has no `serde_json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"rounds\": {},", self.rounds);
-        let _ = writeln!(out, "  \"initial_nodes\": {},", self.initial_nodes);
-        let _ = writeln!(
-            out,
-            "  \"disruption_round\": {},",
-            match self.disruption_round {
-                Some(round) => round.to_string(),
-                None => String::from("null"),
-            }
-        );
-        let _ = writeln!(
-            out,
-            "  \"recovery_threshold\": {},",
-            json_number(self.recovery_threshold)
-        );
-        let _ = writeln!(out, "  \"fault_tier\": {},", self.fault_tier);
-        let _ = writeln!(out, "  \"all_recovered\": {},", self.all_recovered());
-        let _ = writeln!(out, "  \"croupier_gini_ok\": {},", self.croupier_gini_ok());
-        if self.cells.is_empty() {
-            out.push_str("  \"cells\": []\n");
-        } else {
-            out.push_str("  \"cells\": [\n");
-            for (i, cell) in self.cells.iter().enumerate() {
-                out.push_str("    {\n");
-                let _ = writeln!(out, "      \"protocol\": {},", json_string(&cell.protocol));
-                let _ = writeln!(out, "      \"recovered\": {},", cell.recovered);
-                let _ = writeln!(
-                    out,
-                    "      \"final_largest_component\": {},",
-                    json_number(cell.final_largest_component)
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"min_largest_component\": {},",
-                    json_number(cell.min_largest_component)
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"partition_round\": {},",
-                    match cell.partition_round {
-                        Some(round) => round.to_string(),
-                        None => String::from("null"),
-                    }
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"recovery_round\": {},",
-                    match cell.recovery_round {
-                        Some(round) => round.to_string(),
-                        None => String::from("null"),
-                    }
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"final_estimation_error\": {},",
-                    json_number(cell.final_estimation_error)
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"indegree\": {{\"min\": {}, \"max\": {}, \"mean\": {}, \"std_dev\": {}}},",
-                    cell.indegree.min,
-                    cell.indegree.max,
-                    json_number(cell.indegree.mean),
-                    json_number(cell.indegree.std_dev)
-                );
-                out.push_str("      \"indegree_histogram\": [");
-                for (j, (degree, count)) in cell.indegree_histogram.iter().enumerate() {
-                    let comma = if j + 1 < cell.indegree_histogram.len() {
-                        ", "
-                    } else {
-                        ""
-                    };
-                    let _ = write!(out, "[{degree}, {count}]{comma}");
-                }
-                out.push_str("],\n");
-                let _ = writeln!(
-                    out,
-                    "      \"blocked_messages\": {},",
-                    cell.blocked_messages
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"stale_binding_failures\": {},",
-                    cell.stale_binding_failures
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"final_indegree_gini\": {},",
-                    json_number(cell.final_indegree_gini)
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"clean_indegree_gini\": {},",
-                    json_number(cell.clean_indegree_gini)
-                );
-                let _ = writeln!(
-                    out,
-                    "      \"gini_degradation\": {},",
-                    json_number(cell.gini_degradation())
-                );
-                let _ = writeln!(out, "      \"fault_injected\": {},", cell.fault_injected);
-                let _ = writeln!(out, "      \"fault_drops\": {},", cell.fault_drops);
-                let _ = writeln!(out, "      \"retries_fired\": {},", cell.retries_fired);
-                let _ = writeln!(
-                    out,
-                    "      \"exchanges_abandoned\": {},",
-                    cell.exchanges_abandoned
-                );
-                let _ = writeln!(out, "      \"node_count\": {}", cell.node_count);
-                let comma = if i + 1 < self.cells.len() { "," } else { "" };
-                let _ = writeln!(out, "    }}{comma}");
-            }
-            out.push_str("  ]\n");
+        let mut json = JsonWriter::new();
+        json.field("scenario", &self.scenario);
+        json.field("seed", self.seed);
+        json.field("rounds", self.rounds);
+        json.field("initial_nodes", self.initial_nodes);
+        json.field("disruption_round", self.disruption_round);
+        json.field("recovery_threshold", self.recovery_threshold);
+        json.field("fault_tier", self.fault_tier);
+        json.field("all_recovered", self.all_recovered());
+        json.field("croupier_gini_ok", self.croupier_gini_ok());
+        json.array("cells");
+        for cell in &self.cells {
+            json.object(None);
+            json.field("protocol", &cell.protocol);
+            json.field("recovered", cell.recovered);
+            json.field("final_largest_component", cell.final_largest_component);
+            json.field("min_largest_component", cell.min_largest_component);
+            json.field("partition_round", cell.partition_round);
+            json.field("recovery_round", cell.recovery_round);
+            json.field("final_estimation_error", cell.final_estimation_error);
+            json.field(
+                "indegree",
+                Inline(&[
+                    ("min", &cell.indegree.min),
+                    ("max", &cell.indegree.max),
+                    ("mean", &cell.indegree.mean),
+                    ("std_dev", &cell.indegree.std_dev),
+                ]),
+            );
+            json.field("indegree_histogram", cell.indegree_histogram.as_slice());
+            json.field("blocked_messages", cell.blocked_messages);
+            json.field("stale_binding_failures", cell.stale_binding_failures);
+            json.field("final_indegree_gini", cell.final_indegree_gini);
+            json.field("clean_indegree_gini", cell.clean_indegree_gini);
+            json.field("gini_degradation", cell.gini_degradation());
+            json.field("fault_injected", cell.fault_injected);
+            json.field("fault_drops", cell.fault_drops);
+            json.field("retries_fired", cell.retries_fired);
+            json.field("exchanges_abandoned", cell.exchanges_abandoned);
+            json.field("node_count", cell.node_count);
+            json.end();
         }
-        out.push('}');
-        out
+        json.finish()
     }
 
     /// Renders a one-line-per-cell summary table for the terminal.
@@ -397,6 +337,17 @@ pub fn cell_params(kind: ProtocolKind, scale: Scale, seed: u64, rounds: u64) -> 
         .with_engine_threads(scale.engine_threads())
 }
 
+/// The script a `kind` cell runs. NAT-oblivious cells run all-public (see
+/// [`cell_params`]); their flash crowds must join all-public too, or the burst would
+/// smuggle in exactly the NATed nodes the cell excludes.
+fn cell_script(script: &ScenarioScript, kind: ProtocolKind) -> ScenarioScript {
+    if kind.is_nat_aware() {
+        script.clone()
+    } else {
+        script.with_public_flash_crowds()
+    }
+}
+
 /// Runs one scenario × protocol cell.
 pub fn run_cell(
     script: &ScenarioScript,
@@ -405,14 +356,7 @@ pub fn run_cell(
     seed: u64,
     rounds: u64,
 ) -> CellReport {
-    // NAT-oblivious cells run all-public (see cell_params); their flash crowds must
-    // join all-public too, or the burst would smuggle in exactly the NATed nodes the
-    // cell excludes.
-    let cell_script = if kind.is_nat_aware() {
-        script.clone()
-    } else {
-        script.with_public_flash_crowds()
-    };
+    let cell_script = cell_script(script, kind);
     let params = cell_params(kind, scale, seed, rounds).with_scenario(cell_script.clone());
     let out = run_kind(kind, &params, &ProtocolConfigs::default());
     let final_indegree_gini = indegree_gini(&out.final_snapshot);
@@ -493,7 +437,7 @@ pub fn matrix_rounds(scale: Scale) -> u64 {
 
 /// The scenarios of the workload tier: a dissemination stream rides each of these
 /// scripts for every protocol, and croupier's delivery is gated against the declared
-/// SLOs (the `workload-matrix` CI job).
+/// SLOs (the workload half of the `matrix` binary's CI gate).
 pub const WORKLOAD_TIER_NAMES: [&str; 3] = ["reboot_storm", "mobility_wave", "lossy_10"];
 
 /// The dissemination workload a matrix run drives at `scale`: one chunk per round,
@@ -573,138 +517,87 @@ pub struct WorkloadScenarioReport {
 }
 
 impl WorkloadScenarioReport {
-    /// The workload-tier CI gate: croupier's cell must meet every declared SLO —
+    /// The workload-tier gate: croupier's cell must meet every declared SLO —
     /// coverage, absolute p95 latency, and bounded p95 regression vs its control.
     /// Baseline cells are reported but not gated (their delivery profiles differ by
     /// design: cyclon runs all-public, nylon relays aggressively). Vacuously `true`
     /// when croupier is not in the protocol selection.
-    pub fn croupier_slo_ok(&self) -> bool {
+    fn croupier_slo_ok(&self) -> bool {
         self.cells
             .iter()
             .filter(|c| c.protocol == "croupier")
             .all(|c| c.meets_slo(&self.spec.slo))
     }
 
-    /// The full CI gate for this scenario (currently just
-    /// [`croupier_slo_ok`](Self::croupier_slo_ok)).
-    pub fn gates_pass(&self) -> bool {
-        self.croupier_slo_ok()
+    /// The CI gate for this scenario: one message per failing gate (today only the
+    /// croupier SLO gate). Empty when the scenario passes.
+    pub fn gate_failures(&self) -> Vec<String> {
+        if self.croupier_slo_ok() {
+            Vec::new()
+        } else {
+            vec![format!(
+                "croupier missed a delivery SLO in '{}'",
+                self.scenario
+            )]
+        }
     }
 
     /// Serialises the report as pretty-printed JSON (hand-emitted, like
     /// [`ScenarioReport::to_json`], because the offline build has no `serde_json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"scenario\": {},", json_string(&self.scenario));
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"rounds\": {},", self.rounds);
-        let _ = writeln!(out, "  \"initial_nodes\": {},", self.initial_nodes);
-        let _ = writeln!(out, "  \"workload\": {{");
-        let _ = writeln!(out, "    \"publishers\": {},", self.spec.publishers);
-        let _ = writeln!(
-            out,
-            "    \"chunks_per_round\": {},",
-            json_number(self.spec.chunks_per_round)
+        let spec = &self.spec;
+        let mut json = JsonWriter::new();
+        json.field("scenario", &self.scenario);
+        json.field("seed", self.seed);
+        json.field("rounds", self.rounds);
+        json.field("initial_nodes", self.initial_nodes);
+        json.object(Some("workload"));
+        json.field("publishers", spec.publishers);
+        json.field("chunks_per_round", spec.chunks_per_round);
+        json.field("start_round", spec.start_round);
+        json.field("publish_rounds", spec.publish_rounds);
+        json.field("fanout", spec.fanout);
+        json.field("coverage_rounds", spec.coverage_rounds);
+        json.field("chunk_bytes", spec.chunk_bytes);
+        json.field(
+            "slo",
+            Inline(&[
+                ("min_coverage", &spec.slo.min_coverage),
+                ("max_p95_latency_rounds", &spec.slo.max_p95_latency_rounds),
+                (
+                    "max_p95_regression_rounds",
+                    &spec.slo.max_p95_regression_rounds,
+                ),
+            ]),
         );
-        let _ = writeln!(out, "    \"start_round\": {},", self.spec.start_round);
-        let _ = writeln!(out, "    \"publish_rounds\": {},", self.spec.publish_rounds);
-        let _ = writeln!(out, "    \"fanout\": {},", self.spec.fanout);
-        let _ = writeln!(
-            out,
-            "    \"coverage_rounds\": {},",
-            self.spec.coverage_rounds
-        );
-        let _ = writeln!(out, "    \"chunk_bytes\": {},", self.spec.chunk_bytes);
-        let _ = writeln!(
-            out,
-            "    \"slo\": {{\"min_coverage\": {}, \"max_p95_latency_rounds\": {}, \"max_p95_regression_rounds\": {}}}",
-            json_number(self.spec.slo.min_coverage),
-            json_number(self.spec.slo.max_p95_latency_rounds),
-            json_number(self.spec.slo.max_p95_regression_rounds)
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"croupier_slo_ok\": {},", self.croupier_slo_ok());
-        if self.cells.is_empty() {
-            out.push_str("  \"cells\": []\n");
-        } else {
-            out.push_str("  \"cells\": [\n");
-            for (i, cell) in self.cells.iter().enumerate() {
-                out.push_str("    {\n");
-                let _ = writeln!(out, "      \"protocol\": {},", json_string(&cell.protocol));
-                let _ = writeln!(
-                    out,
-                    "      \"slo_pass\": {},",
-                    cell.meets_slo(&self.spec.slo)
-                );
-                for (label, report) in [("report", &cell.report), ("control", &cell.control)] {
-                    let _ = writeln!(out, "      \"{label}\": {{");
-                    let _ = writeln!(
-                        out,
-                        "        \"chunks_published\": {},",
-                        report.chunks_published
-                    );
-                    let _ = writeln!(out, "        \"chunks_sealed\": {},", report.chunks_sealed);
-                    let _ = writeln!(
-                        out,
-                        "        \"coverage\": {},",
-                        json_number(report.coverage)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"min_chunk_coverage\": {},",
-                        json_number(report.min_chunk_coverage)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"latency_p50\": {},",
-                        json_number(report.latency_p50)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"latency_p95\": {},",
-                        json_number(report.latency_p95)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"latency_p99\": {},",
-                        json_number(report.latency_p99)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"duplicate_factor\": {},",
-                        json_number(report.duplicate_factor)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"unique_deliveries\": {},",
-                        report.unique_deliveries
-                    );
-                    let _ = writeln!(
-                        out,
-                        "        \"total_deliveries\": {},",
-                        report.total_deliveries
-                    );
-                    let _ = writeln!(out, "        \"nat_blocked\": {},", report.nat_blocked);
-                    let _ = writeln!(out, "        \"fault_dropped\": {},", report.fault_dropped);
-                    let _ = writeln!(
-                        out,
-                        "        \"public_serve_share\": {}",
-                        json_number(report.public_serve_share)
-                    );
-                    let _ = writeln!(out, "      }},");
-                }
-                let _ = writeln!(
-                    out,
-                    "      \"p95_regression\": {}",
-                    json_number(cell.p95_regression())
-                );
-                let comma = if i + 1 < self.cells.len() { "," } else { "" };
-                let _ = writeln!(out, "    }}{comma}");
+        json.end();
+        json.field("croupier_slo_ok", self.croupier_slo_ok());
+        json.array("cells");
+        for cell in &self.cells {
+            json.object(None);
+            json.field("protocol", &cell.protocol);
+            json.field("slo_pass", cell.meets_slo(&spec.slo));
+            for (label, report) in [("report", &cell.report), ("control", &cell.control)] {
+                json.object(Some(label));
+                json.field("chunks_published", report.chunks_published);
+                json.field("chunks_sealed", report.chunks_sealed);
+                json.field("coverage", report.coverage);
+                json.field("min_chunk_coverage", report.min_chunk_coverage);
+                json.field("latency_p50", report.latency_p50);
+                json.field("latency_p95", report.latency_p95);
+                json.field("latency_p99", report.latency_p99);
+                json.field("duplicate_factor", report.duplicate_factor);
+                json.field("unique_deliveries", report.unique_deliveries);
+                json.field("total_deliveries", report.total_deliveries);
+                json.field("nat_blocked", report.nat_blocked);
+                json.field("fault_dropped", report.fault_dropped);
+                json.field("public_serve_share", report.public_serve_share);
+                json.end();
             }
-            out.push_str("  ]\n");
+            json.field("p95_regression", cell.p95_regression());
+            json.end();
         }
-        out.push('}');
-        out
+        json.finish()
     }
 
     /// Renders a one-line-per-cell summary table for the terminal.
@@ -754,14 +647,8 @@ pub fn run_workload_cell(
     rounds: u64,
     spec: WorkloadSpec,
 ) -> WorkloadCellReport {
-    // Same all-public rule for NAT-oblivious cells as the connectivity matrix.
-    let cell_script = if kind.is_nat_aware() {
-        script.clone()
-    } else {
-        script.with_public_flash_crowds()
-    };
     let params = cell_params(kind, scale, seed, rounds)
-        .with_scenario(cell_script)
+        .with_scenario(cell_script(script, kind))
         .with_workload(spec);
     let out = run_kind(kind, &params, &ProtocolConfigs::default());
     let control_params = cell_params(kind, scale, seed, rounds).with_workload(spec);
@@ -897,7 +784,7 @@ mod tests {
             }],
         };
         assert!(report.all_recovered());
-        assert!(report.gates_pass());
+        assert!(report.gate_failures().is_empty());
         let json = report.to_json();
         assert!(json.contains("\"scenario\": \"reboot_storm\""));
         assert!(json.contains("\"all_recovered\": true"));
@@ -919,6 +806,33 @@ mod tests {
         let table = report.render_table();
         assert!(table.contains("croupier"));
         assert!(table.contains("ok"));
+
+        // A fault-tier report failing both gates: one message per gate.
+        let mut failing = report;
+        failing.fault_tier = true;
+        failing.cells[0].recovered = false;
+        failing.cells[0].final_indegree_gini = 0.30;
+        let mut gozar = failing.cells[0].clone();
+        gozar.protocol = String::from("gozar");
+        gozar.recovered = true;
+        gozar.final_indegree_gini = gozar.clean_indegree_gini;
+        failing.cells.push(gozar);
+        let failures = failing.gate_failures();
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].contains("failed to recover connectivity in 'reboot_storm'"));
+        assert!(failures[1].contains("in-degree Gini degraded"));
+        let json = failing.to_json();
+        assert!(json.contains("\"all_recovered\": false"));
+        assert!(json.contains("\"croupier_gini_ok\": false"));
+    }
+
+    #[test]
+    fn workload_tier_names_are_canned_matrix_scripts() {
+        for name in WORKLOAD_TIER_NAMES {
+            assert!(ScenarioScript::MATRIX_NAMES.contains(&name), "{name}");
+            let script = ScenarioScript::by_name(name, matrix_rounds(Scale::Quick));
+            assert_eq!(script.map(|s| s.name().to_string()), Some(name.to_string()));
+        }
     }
 
     #[test]
@@ -1005,7 +919,7 @@ mod tests {
             report(0.9, false).croupier_gini_ok(),
             "clean-network scenarios skip the Gini gate"
         );
-        assert!(!report(0.43, true).gates_pass());
+        assert_eq!(report(0.43, true).gate_failures().len(), 1);
         let improved = report(0.30, true);
         assert!(
             improved.croupier_gini_ok(),
@@ -1047,7 +961,7 @@ mod tests {
             }],
         };
         assert!(report.croupier_slo_ok(), "the literal cell meets its SLOs");
-        assert!(report.gates_pass());
+        assert!(report.gate_failures().is_empty());
         let json = report.to_json();
         assert!(json.contains("\"scenario\": \"reboot_storm\""));
         assert!(json.contains("\"croupier_slo_ok\": true"));
@@ -1066,6 +980,14 @@ mod tests {
         assert!(table.contains("croupier"));
         assert!(table.contains("pub_share=0.88"));
         assert!(table.contains("ok"));
+
+        // A croupier p95 past its latency and regression bounds fails the one workload gate.
+        let mut failing = report;
+        failing.cells[0].report = delivery(4.0 + failing.spec.slo.max_p95_regression_rounds + 1.0);
+        let failures = failing.gate_failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("croupier missed a delivery SLO in 'reboot_storm'"));
+        assert!(failing.to_json().contains("\"slo_pass\": false"));
     }
 
     #[test]

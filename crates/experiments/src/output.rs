@@ -249,72 +249,217 @@ impl FigureData {
     /// and values match; only whitespace differs), so downstream plotting scripts are
     /// unaffected.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"id\": {},", json_string(&self.id));
-        let _ = writeln!(out, "  \"title\": {},", json_string(&self.title));
-        let _ = writeln!(out, "  \"x_label\": {},", json_string(&self.x_label));
-        let _ = writeln!(out, "  \"y_label\": {},", json_string(&self.y_label));
-        if self.series.is_empty() {
-            out.push_str("  \"series\": []\n");
-        } else {
-            out.push_str("  \"series\": [\n");
-            for (i, series) in self.series.iter().enumerate() {
-                out.push_str("    {\n");
-                let _ = writeln!(out, "      \"label\": {},", json_string(&series.label));
-                if series.points.is_empty() {
-                    out.push_str("      \"points\": []\n");
-                } else {
-                    out.push_str("      \"points\": [\n");
-                    for (j, (x, y)) in series.points.iter().enumerate() {
-                        let comma = if j + 1 < series.points.len() { "," } else { "" };
-                        let _ = writeln!(
-                            out,
-                            "        [{}, {}]{comma}",
-                            json_number(*x),
-                            json_number(*y)
-                        );
-                    }
-                    out.push_str("      ]\n");
-                }
-                let comma = if i + 1 < self.series.len() { "," } else { "" };
-                let _ = writeln!(out, "    }}{comma}");
+        let mut json = JsonWriter::new();
+        json.field("id", &self.id);
+        json.field("title", &self.title);
+        json.field("x_label", &self.x_label);
+        json.field("y_label", &self.y_label);
+        json.array("series");
+        for series in &self.series {
+            json.object(None);
+            json.field("label", &series.label);
+            json.array("points");
+            for point in &series.points {
+                json.item(point);
             }
-            out.push_str("  ]\n");
+            json.end();
+            json.end();
+        }
+        json.finish()
+    }
+}
+
+/// A value the [`JsonWriter`] renders on a single line.
+pub(crate) trait JsonValue {
+    /// Appends the value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! display_json {
+    ($($ty:ty),*) => {$(
+        impl JsonValue for $ty {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+display_json!(bool, u64, usize);
+
+impl JsonValue for f64 {
+    /// JSON has no NaN/Infinity, so they become `null`. Integral values keep their
+    /// fraction (`5.0`, not `5`), as serde_json prints an f64.
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self:?}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl JsonValue for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl JsonValue for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl<T: JsonValue + ?Sized> JsonValue for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: JsonValue> JsonValue for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// A pair renders as the two-element array `[a, b]`.
+impl<A: JsonValue, B: JsonValue> JsonValue for (A, B) {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push_str(", ");
+        self.1.write_json(out);
+        out.push(']');
+    }
+}
+
+/// A slice renders as a one-line array: `[a, b, c]`, or `[]`.
+impl<T: JsonValue> JsonValue for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, value) in self.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            value.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// A one-line JSON object: `{"a": 1, "b": 2}`.
+pub(crate) struct Inline<'a>(pub(crate) &'a [(&'a str, &'a dyn JsonValue)]);
+
+impl JsonValue for Inline<'_> {
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, (key, value)) in self.0.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            key.write_json(out);
+            out.push_str(": ");
+            value.write_json(out);
         }
         out.push('}');
-        out
     }
 }
 
-/// Quotes and escapes `text` as a JSON string literal.
-pub(crate) fn json_string(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Pretty-prints one JSON document: every entry of a multi-line container on its own
+/// line, indented two spaces per level, with commas between entries and an empty
+/// container closed on its opening line (`[]`). Leaf values come from [`JsonValue`].
+pub(crate) struct JsonWriter {
+    out: String,
+    /// One entry per open container: its closing bracket and whether it holds an entry
+    /// yet (so the next one needs a comma).
+    open: Vec<(char, bool)>,
+}
+
+impl JsonWriter {
+    /// Starts a document whose root is an object.
+    pub(crate) fn new() -> Self {
+        JsonWriter {
+            out: String::from("{"),
+            open: vec![('}', false)],
         }
     }
-    out.push('"');
-    out
-}
 
-/// Formats a float as a JSON number (JSON has no NaN/Infinity; they become null).
-pub(crate) fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        // Keep integral values readable (`5.0` not `5`): serde_json prints `5.0` for
-        // f64 too, and plotting scripts treat both the same.
-        format!("{v:?}")
-    } else {
-        String::from("null")
+    /// Starts the next entry of the innermost container: a comma after an earlier
+    /// entry, a new line, the indentation and, inside an object, the key.
+    fn entry(&mut self, key: Option<&str>) {
+        let (_, filled) = self.open.last_mut().expect("a container is open");
+        if std::mem::replace(filled, true) {
+            self.out.push(',');
+        }
+        self.out.push('\n');
+        self.out.push_str(&"  ".repeat(self.open.len()));
+        if let Some(key) = key {
+            key.write_json(&mut self.out);
+            self.out.push_str(": ");
+        }
+    }
+
+    /// Writes `"key": value` into the innermost object.
+    pub(crate) fn field(&mut self, key: &str, value: impl JsonValue) {
+        self.entry(Some(key));
+        value.write_json(&mut self.out);
+    }
+
+    /// Writes `value` as the next element of the innermost array.
+    pub(crate) fn item(&mut self, value: impl JsonValue) {
+        self.entry(None);
+        value.write_json(&mut self.out);
+    }
+
+    /// Opens a multi-line object: under `key` inside an object, or as an array element
+    /// when `key` is `None`.
+    pub(crate) fn object(&mut self, key: Option<&str>) {
+        self.entry(key);
+        self.out.push('{');
+        self.open.push(('}', false));
+    }
+
+    /// Opens a multi-line array under `key`.
+    pub(crate) fn array(&mut self, key: &str) {
+        self.entry(Some(key));
+        self.out.push('[');
+        self.open.push((']', false));
+    }
+
+    /// Closes the innermost open container.
+    pub(crate) fn end(&mut self) {
+        let (close, filled) = self.open.pop().expect("a container is open");
+        if filled {
+            self.out.push('\n');
+            self.out.push_str(&"  ".repeat(self.open.len()));
+        }
+        self.out.push(close);
+    }
+
+    /// Closes every container still open and returns the document (no trailing newline).
+    pub(crate) fn finish(mut self) -> String {
+        while !self.open.is_empty() {
+            self.end();
+        }
+        self.out
     }
 }
 
@@ -419,6 +564,16 @@ mod tests {
             let closes = json.matches(close).count();
             assert_eq!(opens, closes, "unbalanced {open}{close} in {json}");
         }
+        // The exact layout: commas, two-space indentation, empty arrays closed inline.
+        fig.series.push(Series::new("empty"));
+        assert_eq!(
+            fig.to_json(),
+            "{\n  \"id\": \"fig1\",\n  \"title\": \"A \\\"quoted\\\" title\",\n  \
+             \"x_label\": \"x\",\n  \"y_label\": \"y\",\n  \"series\": [\n    {\n      \
+             \"label\": \"croupier\",\n      \"points\": [\n        [1.0, 0.5],\n        \
+             [2.5, null]\n      ]\n    },\n    {\n      \"label\": \"empty\",\n      \
+             \"points\": []\n    }\n  ]\n}"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The workload-tier SLO table for croupier vs cyclon: the same streaming dissemination
-//! the CI workload-matrix gate checks, run for both protocols under the tier's three
-//! scenarios (`reboot_storm`, `mobility_wave`, `lossy_10`) at quick scale.
+//! the CI matrix gate (`cargo run --release -p xtask -- matrix`) checks, run for both
+//! protocols under the tier's three scenarios (`reboot_storm`, `mobility_wave`,
+//! `lossy_10`) at quick scale.
 //!
 //! Each cell streams chunks through the scenario's dynamics and through a no-dynamics
 //! control of the same seed; the table reports coverage, delivery-latency percentiles

@@ -25,19 +25,13 @@
 //!   floor. Targets listed in `ROOT_MIRRORED_TARGETS` also refresh their repo-root
 //!   `BENCH_<target>.json` mirror, keeping the documented numbers in sync.
 //!
-//! * `scenario-matrix` — runs the NAT-dynamics scenario matrix (the CI scenario-matrix
-//!   gate): a thin wrapper around `cargo run --release -p croupier-experiments --bin
-//!   scenario_matrix`, forwarding every argument.
+//! * `matrix` — runs the matrix gates (NAT-dynamics connectivity, fault-plane Gini
+//!   degradation and streaming delivery SLOs): a thin wrapper around `cargo run
+//!   --release -p croupier-experiments --bin matrix`, forwarding every argument. With no
+//!   arguments it is the CI `matrix-gates` job.
 //!
 //!   ```text
-//!   cargo run -p xtask -- scenario-matrix --scale quick --out target/scenario-json
-//!   ```
-//!
-//! * `workload-matrix` — runs the streaming-dissemination workload tier (the CI
-//!   workload-matrix gate) the same way, wrapping the `workload_matrix` binary:
-//!
-//!   ```text
-//!   cargo run -p xtask -- workload-matrix --scale quick --out target/workload-json
+//!   cargo run --release -p xtask -- matrix [matrix args...]
 //!   ```
 //!
 //! * `public-api` — the API-stability gate: line-scans every workspace library crate for
@@ -54,16 +48,13 @@
 //!   before pushing: `fmt`, `clippy` (deny warnings), `doc` (deny warnings),
 //!   `public-api` (snapshot diff), `test` (release build + workspace tests), `bench`
 //!   (guarded benches run `BENCH_RUNS` times, merged best-of-N through
-//!   `bench-compare`), a `scenario-matrix` smoke run of the clean-network scenarios at
-//!   tiny scale, a `fault-matrix` smoke run of the fault-injection tier (`lossy_10`,
-//!   `burst_loss`, `dup_reorder`) at tiny scale, a `workload-matrix` smoke run of the
-//!   streaming-dissemination tier (`reboot_storm`, `mobility_wave`, `lossy_10`) at tiny
-//!   scale, and `huge-smoke` (the ignored million-node `scale_smoke` test, the same
-//!   command the CI job runs).
+//!   `bench-compare`), `matrix` (the matrix gates, the same command the CI job runs),
+//!   and `huge-smoke` (the ignored million-node `scale_smoke` test, the same command the
+//!   CI job runs).
 //!   All steps run even when an earlier one fails; the summary lists every verdict.
 //!
 //!   ```text
-//!   cargo run -p xtask -- ci-local [--skip bench,scenario-matrix,workload-matrix,huge-smoke]
+//!   cargo run -p xtask -- ci-local [--skip bench,matrix,huge-smoke]
 //!   ```
 
 use std::fmt::Write as _;
@@ -367,10 +358,10 @@ fn render_table(target: &str, verdicts: &[(String, Verdict)]) -> String {
 }
 
 /// Renders the informational worker-scaling summary of an engine report: for each node
-/// count with both a `threads_8` and a `threads_4` row, the ratio of their throughputs.
-/// On hardware with eight or more cores the partitioned barrier merge should push this
-/// well above 1.0; on fewer cores it honestly reports ~1.0 (never gated).
-fn render_scaling(target: &str, current: &[Entry]) -> String {
+/// count with both a `threads_8` and a `threads_4` row, the ratio of their throughputs
+/// (never gated). With fewer than eight `cores` the ratio says nothing about scaling, so
+/// a single line explains why it is skipped instead.
+fn render_scaling(target: &str, current: &[Entry], cores: usize) -> String {
     let mut out = String::new();
     for entry in current {
         let Some(group) = entry.name.strip_suffix("/threads_8") else {
@@ -382,6 +373,12 @@ fn render_scaling(target: &str, current: &[Entry]) -> String {
         };
         if four.ops_per_sec <= 0.0 || entry.ops_per_sec <= 0.0 {
             continue;
+        }
+        if cores < 8 {
+            return format!(
+                "  scaling   {target}: threads_8 vs threads_4 skipped, 8 threads exceed the \
+                 {cores} available cores\n"
+            );
         }
         let _ = writeln!(
             out,
@@ -404,12 +401,9 @@ struct Args {
 
 const USAGE: &str = "usage: xtask bench-compare --baseline <dir> --current <dir> \
                      [--targets a,b] [--threshold 0.25] [--metric min|mean] [--update]\n\
-                     xtask scenario-matrix [scenario_matrix args...]\n\
-                     xtask workload-matrix [workload_matrix args...]\n\
+                     xtask matrix [matrix args...]\n\
                      xtask public-api [--update]\n\
-                     xtask ci-local [--skip \
-                     fmt,clippy,doc,public-api,test,bench,scenario-matrix,fault-matrix,\
-                     workload-matrix,huge-smoke]";
+                     xtask ci-local [--skip fmt,clippy,doc,public-api,test,bench,matrix,huge-smoke]";
 
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut baseline = None;
@@ -500,6 +494,7 @@ fn gate(target: &str, verdicts: &[(String, Verdict)], outcome: &mut GateOutcome)
 
 fn bench_compare(args: &Args) -> Result<GateOutcome, String> {
     let mut outcome = GateOutcome::default();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     for target in &args.targets {
         let runs = collect_runs(&args.current, target)?;
         let (current, spread) = merge_runs(&runs);
@@ -529,7 +524,7 @@ fn bench_compare(args: &Args) -> Result<GateOutcome, String> {
         let verdicts = compare(&baseline, &current, args.threshold, args.metric);
         print!("{}", render_table(target, &verdicts));
         print!("{}", render_spread(target, &spread, runs.len()));
-        print!("{}", render_scaling(target, &current));
+        print!("{}", render_scaling(target, &current, cores));
         gate(target, &verdicts, &mut outcome);
     }
     Ok(outcome)
@@ -582,29 +577,20 @@ const BENCH_RUNS: usize = 3;
 /// together with the baseline so the two cannot drift.
 const ROOT_MIRRORED_TARGETS: [&str; 2] = ["microbench_engine", "microbench_metrics"];
 
-/// Runs a matrix binary (`scenario_matrix` or `workload_matrix`) through cargo with
-/// `extra` appended — the single invocation site behind the `xtask` forwarding commands
-/// and the `ci-local` smoke steps.
-fn run_matrix_bin(bin: &str, extra: &[String]) -> bool {
+/// Runs the `matrix` binary through cargo with `extra` appended — the single invocation
+/// site behind `xtask matrix` and the `ci-local` matrix step.
+fn run_matrix(extra: &[String]) -> bool {
     let mut args = vec![
         "run",
         "--release",
         "-p",
         "croupier-experiments",
         "--bin",
-        bin,
+        "matrix",
         "--",
     ];
     args.extend(extra.iter().map(String::as_str));
     run_command(&cargo_bin(), &args, &[])
-}
-
-fn run_scenario_matrix(extra: &[String]) -> bool {
-    run_matrix_bin("scenario_matrix", extra)
-}
-
-fn run_workload_matrix(extra: &[String]) -> bool {
-    run_matrix_bin("workload_matrix", extra)
 }
 
 /// Directory holding the committed public-API snapshots, one file per library crate.
@@ -832,30 +818,16 @@ fn run_command(program: &str, args: &[&str], envs: &[(&str, &str)]) -> bool {
 
 /// The CI jobs `ci-local` mirrors, in run order. `huge-smoke` is the million-node tier
 /// (the long pole by far — skip it with `--skip huge-smoke` when iterating).
-const CI_STEPS: [&str; 10] = [
+const CI_STEPS: [&str; 8] = [
     "fmt",
     "clippy",
     "doc",
     "public-api",
     "test",
     "bench",
-    "scenario-matrix",
-    "fault-matrix",
-    "workload-matrix",
+    "matrix",
     "huge-smoke",
 ];
-
-/// The clean-network scenarios the `scenario-matrix` step runs; the fault tier runs
-/// separately under `fault-matrix` so the two gates fail independently (mirroring the
-/// separate legs of the CI `matrix-gates` job).
-const CLEAN_SCENARIOS: &str = "reboot_storm,mobility_wave,nat_flux,flash_crowd,\
-                               regional_outage,croupier_stress,symmetric_shift,cgn_migration";
-
-/// The fault-tier scenarios the `fault-matrix` step runs.
-const FAULT_SCENARIOS: &str = "lossy_10,burst_loss,dup_reorder";
-
-/// The scenarios the `workload-matrix` step streams a dissemination workload under.
-const WORKLOAD_SCENARIOS: &str = "reboot_storm,mobility_wave,lossy_10";
 
 /// Parses `ci-local`'s arguments: the set of steps to skip.
 fn parse_ci_local_args(mut argv: impl Iterator<Item = String>) -> Result<Vec<String>, String> {
@@ -959,39 +931,7 @@ fn ci_local_step(step: &str) -> bool {
             }
         }
         "public-api" => public_api_gate(false) == ExitCode::SUCCESS,
-        "scenario-matrix" => run_scenario_matrix(
-            &[
-                "--scale",
-                "tiny",
-                "--scenarios",
-                CLEAN_SCENARIOS,
-                "--out",
-                "target/scenario-json",
-            ]
-            .map(String::from),
-        ),
-        "fault-matrix" => run_scenario_matrix(
-            &[
-                "--scale",
-                "tiny",
-                "--scenarios",
-                FAULT_SCENARIOS,
-                "--out",
-                "target/scenario-json",
-            ]
-            .map(String::from),
-        ),
-        "workload-matrix" => run_workload_matrix(
-            &[
-                "--scale",
-                "tiny",
-                "--scenarios",
-                WORKLOAD_SCENARIOS,
-                "--out",
-                "target/workload-json",
-            ]
-            .map(String::from),
-        ),
+        "matrix" => run_matrix(&[]),
         "huge-smoke" => run_command(
             &cargo,
             &[
@@ -1067,18 +1007,10 @@ fn main() -> ExitCode {
             }
             public_api_gate(update)
         }
-        Some("scenario-matrix") => {
+        Some("matrix") => {
             // Thin forwarding wrapper so CI and contributors share one entry point.
             let extra: Vec<String> = argv.collect();
-            if run_scenario_matrix(&extra) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Some("workload-matrix") => {
-            let extra: Vec<String> = argv.collect();
-            if run_workload_matrix(&extra) {
+            if run_matrix(&extra) {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
@@ -1222,18 +1154,17 @@ mod tests {
     #[test]
     fn ci_local_args_accept_known_steps_only() {
         assert_eq!(
-            parse_ci_local_args(
-                ["--skip", "bench,scenario-matrix"]
-                    .map(String::from)
-                    .into_iter()
-            )
-            .unwrap(),
-            vec![String::from("bench"), String::from("scenario-matrix")]
+            parse_ci_local_args(["--skip", "bench,matrix"].map(String::from).into_iter()).unwrap(),
+            vec![String::from("bench"), String::from("matrix")]
         );
         assert!(parse_ci_local_args(std::iter::empty()).unwrap().is_empty());
         assert!(
             parse_ci_local_args(["--skip", "bogus"].map(String::from).into_iter()).is_err(),
             "unknown steps are rejected"
+        );
+        assert!(
+            parse_ci_local_args(["--skip", "fault-matrix"].map(String::from).into_iter()).is_err(),
+            "the per-tier matrix steps are gone"
         );
         assert!(parse_ci_local_args(["--wat"].map(String::from).into_iter()).is_err());
     }
@@ -1286,13 +1217,31 @@ mod tests {
             entry("engine/100k_nodes/threads_8", 50.0), // no threads_4 partner: skipped
             entry("queue/wheel/depth_100k", 10.0),      // not a threads_8 row: skipped
         ];
-        let summary = render_scaling("microbench_engine", &current);
+        let summary = render_scaling("microbench_engine", &current, 8);
         assert_eq!(summary.lines().count(), 1, "{summary}");
         assert!(
             summary.contains("microbench_engine::engine/10k_nodes threads_8 vs threads_4: 2.00x"),
             "{summary}"
         );
         assert!(summary.contains("informational"), "{summary}");
+    }
+
+    #[test]
+    fn scaling_summary_is_skipped_when_threads_exceed_cores() {
+        let current = vec![
+            entry("engine/10k_nodes/threads_4", 200.0),
+            entry("engine/10k_nodes/threads_8", 100.0),
+            entry("engine/100k_nodes/threads_4", 400.0),
+            entry("engine/100k_nodes/threads_8", 200.0),
+        ];
+        let summary = render_scaling("microbench_engine", &current, 2);
+        assert_eq!(
+            summary,
+            "  scaling   microbench_engine: threads_8 vs threads_4 skipped, 8 threads exceed \
+             the 2 available cores\n"
+        );
+        let no_pairs = [entry("queue/wheel/depth_100k", 10.0)];
+        assert_eq!(render_scaling("microbench_core", &no_pairs, 2), "");
     }
 
     #[test]
