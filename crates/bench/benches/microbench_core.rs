@@ -74,7 +74,40 @@ fn bench_estimator(c: &mut Criterion) {
         );
     }
     group.bench_function("estimate_50_cached", |b| b.iter(|| est.estimate()));
+    // `share` must cost the same whatever the cache size: 800 cached estimates is a
+    // steady-state cache of a 4,000-node run with 800 public nodes.
+    let mut rng = SmallRng::seed_from_u64(3);
+    for cached in [50usize, 800] {
+        let est = cached_estimator(cached);
+        group.bench_function(format!("share_10_of_{cached}_cached"), |b| {
+            b.iter(|| est.share(10, NodeId::new(999_999), &mut rng))
+        });
+    }
+    // One received payload (10 shared + the sender's own) into a full cache: six refresh
+    // cached origins, five are new and insert between them.
+    let full = cached_estimator(800);
+    let received: Vec<EstimateRecord> = (0..11u64)
+        .map(|i| EstimateRecord::new(NodeId::new(i * 140 + i % 2), 0.3))
+        .collect();
+    group.bench_function("ingest_11_into_800_cached", |b| {
+        b.iter_batched_ref(
+            || full.clone(),
+            |est| est.ingest(&received, NodeId::new(999_999)),
+            criterion::BatchSize::SmallInput,
+        )
+    });
     group.finish();
+}
+
+/// A private node's estimator caching one estimate from each of `cached` origins (the even
+/// ids `0, 2, 4, …`).
+fn cached_estimator(cached: usize) -> RatioEstimator {
+    let mut est = RatioEstimator::new(NatClass::Private, 25, 50);
+    let records: Vec<EstimateRecord> = (0..cached as u64)
+        .map(|i| EstimateRecord::with_age(NodeId::new(2 * i), 0.2, (i % 40) as u32))
+        .collect();
+    est.ingest(&records, NodeId::new(999_999));
+    est
 }
 
 fn bench_sampler(c: &mut Criterion) {

@@ -17,6 +17,11 @@
 //!   20 piggy-backed estimates) that pushes the descriptor lists past their inline
 //!   capacity, guarding the `InlineVec` heap-spill path.
 //!
+//! Every other `engine/*` row times rounds 4 onwards, before the ratio estimator's
+//! neighbour caches have filled. `engine/10k_nodes/steady_state/threads_1` times the same
+//! deployment after γ + 10 = 60 warm rounds, and `engine/10k_nodes/bytes_per_node_steady`
+//! is its heap footprint at that point; `xtask bench-compare` prints the steady/cold ratio.
+//!
 //! Thread counts beyond the machine's core count cannot speed anything up — on a
 //! single-core container every `threads_*` row measures the same serial work plus
 //! scheduling overhead, so judge scaling only on hardware with at least as many cores as
@@ -41,6 +46,14 @@ use croupier_simulator::{
 
 /// Fraction of public nodes, matching the paper's default ratio.
 const PUBLIC_EVERY: u64 = 5;
+
+/// Rounds every deployment is warmed before timing: views are full, but the ratio
+/// estimator's neighbour caches are still nearly empty.
+const COLD_WARMUP_ROUNDS: u64 = 3;
+
+/// Rounds warmed before the `steady_state` rows: γ + 10, past the γ = 50-round window after
+/// which the estimator caches stop growing.
+const STEADY_WARMUP_ROUNDS: u64 = 60;
 
 /// Delegates to the system allocator while tracking this thread's live heap bytes; feeds
 /// the informational `bytes_per_node` report entries. The measured builds run with one
@@ -105,8 +118,8 @@ fn build_sim_with(
         }
         sim.add_node(id, CroupierNode::new(id, class, config.clone()));
     }
-    // Warm the views so the timed rounds exercise steady-state shuffling, not cold starts.
-    sim.run_for_rounds(3);
+    // Warm the views so the timed rounds exercise full-view shuffling, not cold starts.
+    sim.run_for_rounds(COLD_WARMUP_ROUNDS);
     sim
 }
 
@@ -153,7 +166,26 @@ fn bench_round_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Reports the steady-state heap footprint per node as informational JSON entries: the
+/// Times a 10k-node round once the estimator caches have filled, and reports the heap
+/// footprint per node at that point. The cold `engine/10k_nodes/threads_1` row times rounds
+/// 4 onwards; a hot path that grows with the run shows as the gap between the two.
+fn bench_steady_state(c: &mut Criterion) {
+    const NODES: u64 = 10_000;
+    let before = live_bytes();
+    let mut sim = build_sim(NODES, 1);
+    sim.run_for_rounds(STEADY_WARMUP_ROUNDS - COLD_WARMUP_ROUNDS);
+    let per_node = (live_bytes() - before).max(0) as f64 / NODES as f64;
+    record_informational("engine/10k_nodes/bytes_per_node_steady", per_node);
+    let mut group = c.benchmark_group("engine");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(6));
+    group.bench_function("10k_nodes/steady_state/threads_1", |b| {
+        b.iter(|| sim.run_for_rounds(1))
+    });
+    group.finish();
+}
+
+/// Reports the cold heap footprint per node as informational JSON entries: the
 /// live-bytes delta of building and warming a whole single-worker deployment, divided by
 /// its node count. This is the number the million-node tier budget rests on — the packed
 /// descriptor/estimate layouts and the u32 NAT binding tables show up here directly.
@@ -275,6 +307,8 @@ criterion_group!(
     bench_round_throughput,
     bench_workload_steady_state,
     bench_queue_depth,
-    report_bytes_per_node
+    report_bytes_per_node,
+    // Last: its 60-round warm-up leaves a large heap behind that would colour later rows.
+    bench_steady_state
 );
 criterion_main!(benches);

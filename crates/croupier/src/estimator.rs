@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 use croupier_simulator::{InlineVec, NatClass, NodeId};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Serialized size of one piggy-backed estimate, in bytes: two bytes of node identifier,
@@ -130,11 +130,9 @@ pub struct RatioEstimator {
     // reproducible for a fixed seed (this replaced a BTreeMap with the same iteration
     // order); a flat sorted vector additionally makes the per-round cache maintenance
     // allocation-free once its capacity has warmed up, where the tree allocated and freed
-    // a node per insert/expiry.
+    // a node per insert/expiry. `share` samples it in place: this cache is the estimator's
+    // only per-node state that grows with the public population.
     neighbour_estimates: Vec<(NodeId, CachedEstimate)>,
-    // Recycled staging buffer for `share`, so assembling the piggy-backed payload does not
-    // allocate in steady state.
-    share_scratch: Vec<EstimateRecord>,
 }
 
 impl RatioEstimator {
@@ -155,7 +153,6 @@ impl RatioEstimator {
             history: VecDeque::with_capacity(alpha + 1),
             local_estimate: None,
             neighbour_estimates: Vec::new(),
-            share_scratch: Vec::new(),
         }
     }
 
@@ -259,21 +256,22 @@ impl RatioEstimator {
     /// node's own estimate (fresh, age zero) if it has one — the payload piggy-backed on a
     /// shuffle message.
     ///
-    /// Staged through a recycled scratch buffer and returned inline, so assembling the
-    /// payload allocates nothing in steady state. The full cache is shuffled before
-    /// truncation (not a partial draw) deliberately: it consumes the node's random stream
-    /// exactly as the original `Vec`-returning implementation did, keeping every seeded
-    /// run bit-identical across the change.
-    pub fn share(&mut self, count: usize, self_node: NodeId, rng: &mut SmallRng) -> EstimateBatch {
-        self.share_scratch.clear();
-        self.share_scratch.extend(
-            self.neighbour_estimates.iter().map(|(origin, cached)| {
-                EstimateRecord::with_age(*origin, cached.ratio, cached.age)
-            }),
-        );
-        self.share_scratch.shuffle(rng);
-        self.share_scratch.truncate(count);
-        let mut records: EstimateBatch = self.share_scratch.iter().copied().collect();
+    /// Floyd's algorithm draws the subset in place: one `gen_range` per shared record and
+    /// none when `count` covers the cache, so the cost does not grow with the cache. The
+    /// payload is inline and allocates nothing at the default share size.
+    pub fn share(&self, count: usize, self_node: NodeId, rng: &mut SmallRng) -> EstimateBatch {
+        let cache = &self.neighbour_estimates;
+        let draw = count < cache.len();
+        let count = count.min(cache.len());
+        let mut records = EstimateBatch::new();
+        // Floyd: take a uniform t in 0..=j, or j if t is already in the batch (origins are
+        // unique). Without `draw`, t = j takes the whole cache in ascending order.
+        for j in cache.len() - count..cache.len() {
+            let t = if draw { rng.gen_range(0..=j) } else { j };
+            let taken = records.iter().any(|r| r.origin() == cache[t].0);
+            let (origin, cached) = cache[if taken { j } else { t }];
+            records.push(EstimateRecord::with_age(origin, cached.ratio, cached.age));
+        }
         if let Some(own) = self.local_estimate {
             if self.class.is_public() {
                 records.push(EstimateRecord::new(self_node, own));
@@ -481,9 +479,99 @@ mod tests {
             .any(|rec| rec.origin() == NodeId::new(0) && rec.age() == 0));
     }
 
+    /// An estimator of class `class` caching one estimate from each of origins `1..=cached`,
+    /// with a local estimate when `with_local` (public nodes only).
+    fn estimator_with_cache(class: NatClass, cached: u64, with_local: bool) -> RatioEstimator {
+        let mut est = RatioEstimator::new(class, 5, 50);
+        if with_local {
+            est.record_request(NatClass::Public);
+            est.advance_round();
+            est.advance_round();
+        }
+        let records: Vec<EstimateRecord> = (1..=cached)
+            .map(|i| EstimateRecord::new(NodeId::new(i), 0.25))
+            .collect();
+        est.ingest(&records, NodeId::new(0));
+        est
+    }
+
+    #[test]
+    fn share_draws_distinct_cached_origins_plus_own_estimate_on_public_nodes() {
+        let me = NodeId::new(0);
+        let mut r = rng();
+        for (class, with_local) in [
+            (NatClass::Public, true),
+            (NatClass::Public, false),
+            (NatClass::Private, false),
+        ] {
+            let own = usize::from(with_local);
+            for cached in [0u64, 3, 10, 11, 50, 800] {
+                let est = estimator_with_cache(class, cached, with_local);
+                for count in [0usize, 1, 10, 50] {
+                    let shared = est.share(count, me, &mut r);
+                    let drawn = count.min(cached as usize);
+                    assert_eq!(shared.len(), drawn + own, "{class:?} {cached} {count}");
+                    let mut origins: Vec<NodeId> =
+                        shared[..drawn].iter().map(|rec| rec.origin()).collect();
+                    origins.sort();
+                    origins.dedup();
+                    assert_eq!(origins.len(), drawn, "duplicate origin in {shared:?}");
+                    assert!(origins.iter().all(|o| (1..=cached).contains(&o.as_u64())));
+                    if with_local {
+                        assert_eq!(shared[drawn].origin(), me);
+                        assert_eq!(shared[drawn].age(), 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn share_makes_no_draw_when_the_cache_fits() {
+        let est = estimator_with_cache(NatClass::Public, 10, true);
+        let mut r = rng();
+        let untouched = r.clone();
+        for count in [10, 11, 100] {
+            let shared = est.share(count, NodeId::new(0), &mut r);
+            assert_eq!(shared.len(), 11);
+        }
+        assert_eq!(
+            r, untouched,
+            "share drew from the RNG although the cache fit"
+        );
+        est.share(9, NodeId::new(0), &mut r);
+        assert_ne!(r, untouched, "a partial share must draw");
+    }
+
+    #[test]
+    fn share_picks_every_cached_origin_uniformly() {
+        const CACHED: u64 = 100;
+        const SHARES: u64 = 20_000;
+        const COUNT: usize = 10;
+        // Upper 0.1 % point of the χ² distribution with CACHED - 1 = 99 degrees of freedom.
+        const CHI2_99_P001: f64 = 148.23;
+        let est = estimator_with_cache(NatClass::Private, CACHED, false);
+        let mut r = rng();
+        let mut hits = vec![0u64; CACHED as usize + 1];
+        for _ in 0..SHARES {
+            for rec in est.share(COUNT, NodeId::new(0), &mut r).iter() {
+                hits[rec.origin().as_u64() as usize] += 1;
+            }
+        }
+        let expected = (SHARES * COUNT as u64) as f64 / CACHED as f64;
+        let chi2: f64 = hits[1..]
+            .iter()
+            .map(|&h| (h as f64 - expected).powi(2) / expected)
+            .sum();
+        assert!(
+            chi2 < CHI2_99_P001,
+            "χ² = {chi2:.1} over {CACHED} origins exceeds {CHI2_99_P001}: {hits:?}"
+        );
+    }
+
     #[test]
     fn share_without_local_estimate_is_only_cached_records() {
-        let mut est = RatioEstimator::new(NatClass::Private, 5, 50);
+        let est = RatioEstimator::new(NatClass::Private, 5, 50);
         let mut r = rng();
         assert!(est.share(10, NodeId::new(0), &mut r).is_empty());
     }

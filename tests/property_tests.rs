@@ -156,8 +156,55 @@ fn estimator_estimate_stays_in_unit_interval() {
             );
             assert!((0.0..=1.0).contains(&local));
         }
-        // Cached records all respect the gamma window after aging.
-        assert!(estimator.cached_count() <= 64);
+        // The cache keeps at most one record per origin, and origins come from 0..32.
+        assert!(estimator.cached_count() <= 32);
+    });
+}
+
+/// `share` returns `min(count, cached)` distinct cached origins, plus only the node's own
+/// estimate, whatever the cache contents and the requested count.
+#[test]
+fn estimator_share_is_a_duplicate_free_subset_of_the_cache() {
+    for_each_case("estimator_share_subset", |rng| {
+        let class = arb_class(rng);
+        let me = NodeId::new(999);
+        let mut estimator = RatioEstimator::new(class, 5, 50);
+        for _ in 0..rng.gen_range(0usize..5) {
+            estimator.record_request(arb_class(rng));
+            estimator.advance_round();
+        }
+        let records: Vec<EstimateRecord> = (0..rng.gen_range(0usize..400))
+            .map(|_| {
+                EstimateRecord::with_age(
+                    NodeId::new(rng.gen_range(0u64..300)),
+                    rng.gen_range(0.0f64..1.0),
+                    rng.gen_range(0u32..50),
+                )
+            })
+            .collect();
+        estimator.ingest(&records, me);
+        let cached: Vec<NodeId> = records.iter().map(|r| r.origin()).collect();
+        let count = rng.gen_range(0usize..40);
+        let mut draw_rng = SmallRng::seed_from_u64(rng.gen::<u64>());
+        let shared = estimator.share(count, me, &mut draw_rng);
+        let own = usize::from(class.is_public() && estimator.local_estimate().is_some());
+        assert_eq!(shared.len(), count.min(estimator.cached_count()) + own);
+        let mut origins: Vec<NodeId> = shared.iter().map(|r| r.origin()).collect();
+        origins.sort();
+        origins.dedup();
+        assert_eq!(
+            origins.len(),
+            shared.len(),
+            "duplicate origin in {shared:?}"
+        );
+        for record in shared.iter() {
+            assert!(
+                record.origin() == me || cached.contains(&record.origin()),
+                "shared origin {} was never cached",
+                record.origin()
+            );
+        }
+        assert_eq!(shared.iter().filter(|r| r.origin() == me).count(), own);
     });
 }
 

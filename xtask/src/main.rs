@@ -390,6 +390,26 @@ fn render_scaling(target: &str, current: &[Entry], cores: usize) -> String {
     out
 }
 
+/// Renders the informational cold→steady slope of a report: for every row whose name
+/// contains `steady_state/`, the ratio of its time to that of the row named without that
+/// segment (the same workload timed right after bootstrap). A hot path whose cost grows
+/// over a run shows here as a ratio well above 1.
+fn render_steady_slope(target: &str, current: &[Entry], metric: Metric) -> String {
+    let mut out = String::new();
+    for steady in current.iter().filter(|e| e.name.contains("steady_state/")) {
+        let cold = steady.name.replacen("steady_state/", "", 1);
+        if let Some(cold) = current.iter().find(|c| c.name == cold) {
+            let _ = writeln!(
+                out,
+                "  steady    {target}::{} steady/cold: {:.2}x time (informational)",
+                steady.name,
+                metric.of(steady) / metric.of(cold)
+            );
+        }
+    }
+    out
+}
+
 struct Args {
     baseline: PathBuf,
     current: PathBuf,
@@ -525,6 +545,7 @@ fn bench_compare(args: &Args) -> Result<GateOutcome, String> {
         print!("{}", render_table(target, &verdicts));
         print!("{}", render_spread(target, &spread, runs.len()));
         print!("{}", render_scaling(target, &current, cores));
+        print!("{}", render_steady_slope(target, &current, args.metric));
         gate(target, &verdicts, &mut outcome);
     }
     Ok(outcome)
@@ -1242,6 +1263,26 @@ mod tests {
         );
         let no_pairs = [entry("queue/wheel/depth_100k", 10.0)];
         assert_eq!(render_scaling("microbench_core", &no_pairs, 2), "");
+    }
+
+    #[test]
+    fn steady_slope_pairs_steady_state_rows_with_their_cold_row() {
+        let current = vec![
+            entry("engine/10k_nodes/threads_1", 100.0),
+            entry("engine/10k_nodes/steady_state/threads_1", 150.0),
+            entry("workload/steady_state/10k_nodes/threads_1", 80.0), // no cold row: skipped
+            entry("queue/wheel/depth_100k", 10.0),                    // not steady: skipped
+        ];
+        let summary = render_steady_slope("microbench_engine", &current, Metric::Mean);
+        assert_eq!(
+            summary,
+            "  steady    microbench_engine::engine/10k_nodes/steady_state/threads_1 \
+             steady/cold: 1.50x time (informational)\n"
+        );
+        assert_eq!(
+            render_steady_slope("microbench_core", &current[3..], Metric::Min),
+            ""
+        );
     }
 
     #[test]
